@@ -2,10 +2,10 @@
 
 from .errors import KleinformError, ValidationError, WindowError, CertificateError
 from .qz import QZ, halve
-from .intmat import IntMatrix, xgcd, smith_solve, solve_sparse, SmithSolveResult
+from .intmat import xgcd, solve_sparse, SmithSolveResult
 from .groups import (
     FiniteGroup, GroupHom, cyclic, klein4, symmetric3, dihedral, dicyclic,
-    alternating4, direct_product, from_table, closure, centralizer,
+    alternating4, direct_product, closure, centralizer,
     cyclic_generator, generating_set, all_homs, trivial_hom,
     parse_group_text, load_group_file, parse_group_spec)
 from .cochains import (

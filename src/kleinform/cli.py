@@ -258,8 +258,25 @@ _COMMANDS = {
 }
 
 
+def _bind_negative_matrix(argv):
+    """Write "--matrix -11,12,-1,1" as "--matrix=-11,12,-1,1".
+
+    argparse takes a separate value that starts with "-" and is not a
+    plain number for an option, so a matrix with a negative first entry
+    would otherwise be refused.
+    """
+    out = []
+    for arg in argv:
+        if out and out[-1] == "--matrix" and arg[:1] == "-" and arg[1:2].isdigit():
+            out[-1] = "--matrix=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser().parse_args(_bind_negative_matrix(argv))
     try:
         return _COMMANDS[args.command](args)
     except KleinformError as exc:

@@ -234,10 +234,6 @@ def alternating4():
     return FiniteGroup(table)
 
 
-def from_table(rows):
-    return FiniteGroup(rows)
-
-
 def closure(group, gens):
     """Subgroup generated by gens, returned as a sorted tuple of indices."""
     seen = {0}
@@ -251,10 +247,6 @@ def closure(group, gens):
                     seen.add(y)
                     frontier.append(y)
     return tuple(sorted(seen))
-
-
-def element_order(group, a):
-    return group.order_of(a)
 
 
 def centralizer(group, elems):

@@ -1,4 +1,4 @@
-"""Integer matrices, Smith normal form, and exact linear solving over Q/Z.
+"""Exact linear solving over Q/Z for sparse integer systems.
 
 The solver answers systems M*x = b where M has integer entries and the
 unknowns live in Q/Z.  Because Q/Z is divisible, an equation s*y = c with
@@ -30,183 +30,6 @@ def xgcd(a, b):
     if old_r < 0:
         old_r, old_x, old_y = -old_r, -old_x, -old_y
     return old_r, old_x, old_y
-
-
-class IntMatrix:
-    """Dense matrix with arbitrary-precision integer entries."""
-
-    __slots__ = ("rows", "nrows", "ncols")
-
-    def __init__(self, rows):
-        rows = [list(r) for r in rows]
-        if not rows:
-            raise KleinformError("matrix needs at least one row")
-        width = len(rows[0])
-        for r in rows:
-            if len(r) != width:
-                raise KleinformError("ragged matrix rows")
-            for v in r:
-                if not isinstance(v, int):
-                    raise KleinformError("matrix entries must be integers")
-        self.rows = rows
-        self.nrows = len(rows)
-        self.ncols = width
-
-    @classmethod
-    def identity(cls, n):
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
-
-    @classmethod
-    def diagonal(cls, entries):
-        n = len(entries)
-        return cls([[entries[i] if i == j else 0 for j in range(n)] for i in range(n)])
-
-    def __eq__(self, other):
-        return isinstance(other, IntMatrix) and self.rows == other.rows
-
-    def __matmul__(self, other):
-        if not isinstance(other, IntMatrix):
-            return NotImplemented
-        if self.ncols != other.nrows:
-            raise KleinformError("dimension mismatch in matrix product")
-        cols = list(zip(*other.rows))
-        return IntMatrix(
-            [[sum(a * b for a, b in zip(row, col)) for col in cols] for row in self.rows]
-        )
-
-    def mul(self, other):
-        return self @ other
-
-    def transpose(self):
-        return IntMatrix([list(c) for c in zip(*self.rows)])
-
-    def __repr__(self):
-        return "IntMatrix(%r)" % (self.rows,)
-
-    def det(self):
-        """Determinant by fraction-free (Bareiss) elimination."""
-        if self.nrows != self.ncols:
-            raise KleinformError("determinant of a non-square matrix")
-        a = [list(r) for r in self.rows]
-        n = self.nrows
-        sign = 1
-        prev = 1
-        for k in range(n - 1):
-            if a[k][k] == 0:
-                for r in range(k + 1, n):
-                    if a[r][k]:
-                        a[k], a[r] = a[r], a[k]
-                        sign = -sign
-                        break
-                else:
-                    return 0
-            for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            prev = a[k][k]
-        return sign * a[n - 1][n - 1]
-
-    def snf(self):
-        """Smith normal form: returns (U, S, V) with self = U @ S @ V.
-
-        U and V are unimodular, S is diagonal with nonnegative entries and
-        each diagonal entry divides the next.  Row operations on the work
-        matrix are compensated on U, column operations on V, so the product
-        identity holds at every step.
-        """
-        m, n = self.nrows, self.ncols
-        S = [list(r) for r in self.rows]
-        U = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
-        V = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-        def row_add(i, j, q):
-            # S.row[i] += q * S.row[j]; compensate on U: col[j] -= q * col[i]
-            Si, Sj = S[i], S[j]
-            for c in range(n):
-                Si[c] += q * Sj[c]
-            for r in range(m):
-                U[r][j] -= q * U[r][i]
-
-        def row_swap(i, j):
-            S[i], S[j] = S[j], S[i]
-            for r in range(m):
-                U[r][i], U[r][j] = U[r][j], U[r][i]
-
-        def row_neg(i):
-            S[i] = [-v for v in S[i]]
-            for r in range(m):
-                U[r][i] = -U[r][i]
-
-        def col_add(i, j, q):
-            # S.col[i] += q * S.col[j]; compensate on V: row[j] -= q * row[i]
-            for r in range(m):
-                S[r][i] += q * S[r][j]
-            Vi, Vj = V[i], V[j]
-            for k in range(n):
-                Vj[k] -= q * Vi[k]
-
-        def col_swap(i, j):
-            for r in range(m):
-                S[r][i], S[r][j] = S[r][j], S[r][i]
-            V[i], V[j] = V[j], V[i]
-
-        t = 0
-        while t < min(m, n):
-            # smallest nonzero entry of the trailing block becomes the pivot
-            best = None
-            for r in range(t, m):
-                for c in range(t, n):
-                    v = S[r][c]
-                    if v and (best is None or abs(v) < abs(S[best[0]][best[1]])):
-                        best = (r, c)
-            if best is None:
-                break
-            if best[0] != t:
-                row_swap(t, best[0])
-            if best[1] != t:
-                col_swap(t, best[1])
-            while True:
-                if S[t][t] < 0:
-                    row_neg(t)
-                p = S[t][t]
-                dirty = False
-                for r in range(t + 1, m):
-                    if S[r][t]:
-                        q = S[r][t] // p
-                        if q:
-                            row_add(r, t, -q)
-                        if S[r][t]:
-                            row_swap(t, r)
-                            dirty = True
-                            break
-                if dirty:
-                    continue
-                for c in range(t + 1, n):
-                    if S[t][c]:
-                        q = S[t][c] // p
-                        if q:
-                            col_add(c, t, -q)
-                        if S[t][c]:
-                            col_swap(t, c)
-                            dirty = True
-                            break
-                if dirty:
-                    continue
-                # trailing block must be divisible by the pivot for the chain
-                bad = None
-                for r in range(t + 1, m):
-                    for c in range(t + 1, n):
-                        if S[r][c] % p:
-                            bad = r
-                            break
-                    if bad is not None:
-                        break
-                if bad is None:
-                    break
-                row_add(t, bad, 1)
-            t += 1
-
-        return IntMatrix(U), IntMatrix(S), IntMatrix(V)
 
 
 class SmithSolveResult:
@@ -399,25 +222,3 @@ def _verify_sparse(rows, solution, rhs):
         if acc % 1 != _as_fraction_mod1(rhs[i]):
             raise KleinformError("internal error: solver produced a non-solution at row %d" % i)
 
-
-def smith_solve(matrix, rhs):
-    """Solve matrix * x = b with x taking values in Q/Z; exact, no tolerances.
-
-    matrix may be an IntMatrix or a list of integer rows.  Returns a
-    SmithSolveResult: .solution holds the list of QZ values when solvable,
-    otherwise .row / .residual identify a reduced row that became zero with
-    nonzero right-hand side.
-    """
-    if isinstance(matrix, IntMatrix):
-        dense = matrix.rows
-    else:
-        dense = [list(r) for r in matrix]
-        if len({len(r) for r in dense}) > 1:
-            raise KleinformError("ragged matrix rows")
-    if len(dense) != len(rhs):
-        raise KleinformError(
-            "dimension mismatch: %d rows but %d right-hand sides" % (len(dense), len(rhs))
-        )
-    ncols = len(dense[0]) if dense else 0
-    sparse = [{c: v for c, v in enumerate(row) if v} for row in dense]
-    return solve_sparse(sparse, ncols, rhs)

@@ -451,7 +451,8 @@ def conjugate_lift(lift, z):
     (z rho z^-1)*alpha - rho*alpha under the degree-2 differential used
     throughout, so the sum certifies as a genuine lift for the new rep.
     Conjugates are not renormalized: their asymmetry at (e1, e2) is the
-    holonomy datum downstream consumers read off.
+    conjugation holonomy, which moduli.holonomy_cocycle_R reads off alpha
+    directly; this route stays as the tests' reference for it.
     """
     rep = lift.rep
     grp = rep.group

@@ -6,8 +6,10 @@ characters computed here (r_diff against a matrix, the Dehn-twist value,
 and the closed Klein form on Gamma1(n)) all come from one mechanism:
 evaluate a normalized lift of the pulled-back three-cocycle at the
 transformed fundamental class and compare with the untransformed one.
-Everything is exact; agreements between the lift route and the closed
-forms are theorems that the test suite checks rather than assumes.
+The conjugation holonomy behind sections_dimension needs no lift: it is
+the transgression of alpha, six table lookups per value.  Everything is
+exact; agreements between the lift route and the closed forms are
+theorems that the test suite checks rather than assumes.
 """
 
 from __future__ import annotations
@@ -17,15 +19,7 @@ from itertools import product
 from .cochains import Cochain, is_closed, is_normalized
 from .errors import KleinformError, ValidationError, WindowError
 from .groups import centralizer
-from .lifts import (
-    DEFAULT_WINDOW,
-    E1,
-    E2,
-    TorusRep,
-    conjugate_lift,
-    has_cyclic_image,
-    lift_gamma,
-)
+from .lifts import DEFAULT_WINDOW, TorusRep, has_cyclic_image, lift_gamma
 from .qz import QZ
 
 ENUMERATION_CAP = 10**7
@@ -147,13 +141,6 @@ class SurfaceRep:
 
     def __repr__(self):
         return "SurfaceRep(genus=%d, images=%r)" % (self.genus, self.images)
-
-
-def as_torus_rep(srep):
-    """View a genus-one SurfaceRep as a TorusRep."""
-    if srep.genus != 1:
-        raise KleinformError("only genus-one reps correspond to torus reps")
-    return TorusRep(srep.group, srep.images[0], srep.images[1])
 
 
 def enumerate_bundles(group, genus):
@@ -283,17 +270,39 @@ def klein_character(n, level, matrix):
     return QZ(level * matrix.b, n * n)
 
 
-def holonomy_cocycle_R(rep, alpha, z, window=None):
-    """Asymmetry of the conjugated lift at the fundamental class.
+def holonomy_cocycle_R(rep, alpha, z):
+    """Holonomy of conjugation by z at the rep (g, h), read off alpha.
 
-    Conjugating a normalized lift by z generally breaks the symmetry at
-    (e1, e2); the defect returned here is a 1-cocycle for the conjugation
-    groupoid and restricts to a character on the stabilizer of the rep.
+    With cg = z g z^-1 and ch = z h z^-1 the value is
+
+        (alpha(z, g, h) - alpha(z, h, g))
+        + (alpha(cg, ch, z) - alpha(ch, cg, z))
+        - (alpha(cg, z, h) - alpha(ch, z, g)),
+
+    the transgression (slant product) of alpha.  It is a 1-cocycle for the
+    conjugation groupoid and restricts to a character on the stabilizer of
+    the rep.  It equals the asymmetry at (e1, e2) of
+    conjugate_lift(lift_gamma(rep, alpha), z), for every z in the group:
+    lift_gamma only hands out normalized lifts (lam0 makes the value at
+    (e1, e2) equal the value at (e2, e1), and _certify checks it), and
+    conjugate_lift adds beta(a, b) = alpha(z, rho a, rho b)
+    + alpha(z rho(a) z^-1, z rho(b) z^-1, z) - alpha(z rho(a) z^-1, z, rho b).
+    So the conjugate's asymmetry is beta(e1, e2) - beta(e2, e1); with
+    rho e1 = g and rho e2 = h that is the expression above, and the lift
+    cancels.  The tests keep the lift route as the oracle.
     """
     _check_alpha_for(rep.group, alpha)
-    lift = lift_gamma(rep, alpha, window=window)
-    moved = conjugate_lift(lift, z)
-    return moved.evaluate(E1, E2) - moved.evaluate(E2, E1)
+    grp = rep.group
+    z = int(z)
+    if not (0 <= z < grp.order):
+        raise KleinformError("conjugating element outside the group")
+    g, h = rep.g, rep.h
+    cg, ch = grp.conj(z, g), grp.conj(z, h)
+    return (
+        (alpha(z, g, h) - alpha(z, h, g))
+        + (alpha(cg, ch, z) - alpha(ch, cg, z))
+        - (alpha(cg, z, h) - alpha(ch, z, g))
+    )
 
 
 def sections_dimension(group, alpha):

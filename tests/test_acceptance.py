@@ -47,7 +47,6 @@ from kleinform.intmat import xgcd
 from kleinform.lifts import GammaLift, TorusRep, lift_gamma, sigma_diff
 from kleinform.moduli import (
     SL2Z,
-    as_torus_rep,
     dehn_character,
     enumerate_bundles,
     holonomy_cocycle_R,
@@ -242,9 +241,9 @@ def test_character_homomorphism_and_conjugation_covariance():
             seen.add(other.images)
         orbits += 1
         for mat in mats:
-            want = r_diff(as_torus_rep(orbit[0]), pulled, mat)
+            want = r_diff(TorusRep(orbit[0].group, *orbit[0].images), pulled, mat)
             for other in orbit:
-                assert r_diff(as_torus_rep(other), pulled, mat) == want
+                assert r_diff(TorusRep(other.group, *other.images), pulled, mat) == want
     assert orbits == 8
 
     # the Klein four-group: conjugation is trivial, so every orbit is a
@@ -257,7 +256,7 @@ def test_character_homomorphism_and_conjugation_covariance():
     for srep in enumerate_bundles(v4, 1):
         orbit, _ = orbit_stabilizer(srep)
         assert len(orbit) == 1
-        rep = as_torus_rep(srep)
+        rep = TorusRep(srep.group, *srep.images)
         val = r_diff(rep, pulled4, minus, window=2)
         assert r_diff(rep, pulled4, minus @ minus, window=2) == val + val
 

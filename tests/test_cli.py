@@ -36,6 +36,25 @@ def test_klein_csv(capsys):
     assert out == "value\n1/2\n"
 
 
+def test_klein_negative_first_matrix_entry(capsys):
+    # a matrix value starting with "-" is the matrix, not an option
+    argv = ["klein", "--n", "4", "--level", "3"]
+    rc, out, err = run(capsys, argv + ["--matrix", "-11,12,-1,1"])
+    assert (rc, out, err) == (0, "1/4\n", "")
+    assert run(capsys, argv + ["--matrix=-11,12,-1,1"]) == (rc, out, err)
+    for bad in ("-11,12,-1", "-11,12,-1,x"):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--matrix", bad])
+        assert exc.value.code == 2
+
+
+def test_character_negative_first_matrix_entry(capsys):
+    argv = ["character", "--group", "cyclic:3", "--level", "1", "--rep", "1,0"]
+    rc, out, err = run(capsys, argv + ["--matrix", "-1,3,0,-1"])
+    assert (rc, out, err) == (0, "2/3\n", "")
+    assert run(capsys, argv + ["--matrix=-1,3,0,-1"]) == (rc, out, err)
+
+
 def test_usage_error_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["klein", "--n", "3"])

@@ -16,8 +16,6 @@ from kleinform.groups import (
     dicyclic,
     dihedral,
     direct_product,
-    element_order,
-    from_table,
     generating_set,
     klein4,
     parse_group_spec,
@@ -39,7 +37,7 @@ def test_cyclic_basics():
     assert g.order_of(0) == 1
     assert g.order_of(2) == 3
     assert g.order_of(1) == 6
-    assert element_order(g, 3) == 2
+    assert g.order_of(3) == 2
 
 
 def test_trivial_group():
@@ -75,7 +73,7 @@ def test_validation_rejects_nonassociative_loop():
         [4, 2, 0, 1, 3],
     ]
     with pytest.raises(ValidationError) as exc:
-        from_table(table)
+        FiniteGroup(table)
     assert "associativity" in str(exc.value)
 
 

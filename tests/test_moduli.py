@@ -1,16 +1,22 @@
+import os
 import random
 
 import pytest
 
-from kleinform.cochains import Cochain, alpha_cyclic, differential, pullback_cochain
+from kleinform.cochains import (
+    Cochain,
+    alpha_cyclic,
+    differential,
+    load_cochain_file,
+    pullback_cochain,
+)
 from kleinform.errors import KleinformError, ValidationError
-from kleinform.groups import GroupHom, cyclic, dihedral, klein4, symmetric3
+from kleinform.groups import GroupHom, cyclic, dihedral, direct_product, klein4, symmetric3
 from kleinform.intmat import xgcd
-from kleinform.lifts import TorusRep
+from kleinform.lifts import E1, E2, TorusRep, conjugate_lift, has_cyclic_image, lift_gamma
 from kleinform.moduli import (
     SL2Z,
     SurfaceRep,
-    as_torus_rep,
     dehn_character,
     enumerate_bundles,
     holonomy_cocycle_R,
@@ -77,15 +83,6 @@ def test_surface_rep_validation():
     assert good.genus == 2
     with pytest.raises(ValidationError):
         SurfaceRep(s3, 2, (1, 3, 0, 0))
-
-
-def test_as_torus_rep():
-    s3 = symmetric3()
-    t = as_torus_rep(SurfaceRep(s3, 1, (3, 4)))
-    assert isinstance(t, TorusRep)
-    assert (t.g, t.h) == (3, 4)
-    with pytest.raises(KleinformError):
-        as_torus_rep(SurfaceRep(s3, 2, (0, 0, 0, 0)))
 
 
 def test_enumerate_counts():
@@ -230,6 +227,8 @@ def test_holonomy_trivial_cases():
         assert holonomy_cocycle_R(rep, alpha, z) == QZ(0)
     diag = TorusRep(cyclic(2), 1, 1)
     assert holonomy_cocycle_R(diag, alpha_cyclic(2, 1), 1) == QZ(0)
+    with pytest.raises(KleinformError):
+        holonomy_cocycle_R(rep, alpha, 3)
 
 
 def _coboundary_alpha_s3():
@@ -266,15 +265,62 @@ def test_holonomy_nonzero_on_coboundary():
     }
 
 
+def _holonomy_by_lift(rep, alpha, z):
+    # the reference route: asymmetry of the conjugated normalized lift
+    moved = conjugate_lift(lift_gamma(rep, alpha), z)
+    return moved.evaluate(E1, E2) - moved.evaluate(E2, E1)
+
+
+def _cup_alpha_v8():
+    # the product cocycle x1*y2*z3/2 on (Z/2)^3
+    v8 = direct_product(direct_product(cyclic(2), cyclic(2)), cyclic(2))
+
+    def coords(i):
+        return ((i >> 2) & 1, (i >> 1) & 1, i & 1)
+
+    return v8, Cochain.from_function(
+        v8, 3, lambda a, b, c: QZ(coords(a)[0] * coords(b)[1] * coords(c)[2], 2)
+    )
+
+
+def _holonomy_values(group, alpha, pairs):
+    """holonomy_cocycle_R at every z for each pair, checked against both
+    the alpha oracle and the lift route."""
+    values = {}
+    for g, h in pairs:
+        rep = TorusRep(group, g, h)
+        for z in group.elements:
+            value = holonomy_cocycle_R(rep, alpha, z)
+            assert value == _holonomy_oracle(group, alpha, g, h, z)
+            assert value == _holonomy_by_lift(rep, alpha, z)
+            values[(g, h, z)] = value
+    return values
+
+
 def test_holonomy_matches_oracle_everywhere():
     s3, alpha = _coboundary_alpha_s3()
-    for rep in enumerate_bundles(s3, 1):
-        g, h = rep.images
-        trep = TorusRep(s3, g, h)
-        for z in s3.elements:
-            assert holonomy_cocycle_R(trep, alpha, z) == _holonomy_oracle(
-                s3, alpha, g, h, z
-            )
+    pairs = [rep.images for rep in enumerate_bundles(s3, 1)]
+    values = _holonomy_values(s3, alpha, pairs)
+    assert values[(3, 4, 1)] == QZ(1, 2)
+
+    # a nonabelian group with values of order 3, also for z outside the
+    # stabilizer (0, 3, 4) of the rep (3, 4)
+    path = os.path.join(os.path.dirname(__file__), "data", "s3_cubetwist.cochain")
+    values = _holonomy_values(s3, load_cochain_file(path), pairs)
+    for z in (1, 2, 5):
+        assert values[(3, 4, z)] == QZ(1, 3)
+
+    z4 = cyclic(4)
+    pairs = [rep.images for rep in enumerate_bundles(z4, 1)]
+    _holonomy_values(z4, alpha_cyclic(4, 1), pairs)
+
+    # reps with a non-cyclic image, whose reference lifts are window solves
+    v8, cup = _cup_alpha_v8()
+    pairs = [(4, 2), (2, 1), (4, 1), (6, 1)]
+    for g, h in pairs:
+        assert not has_cyclic_image(TorusRep(v8, g, h))
+    values = _holonomy_values(v8, cup, pairs)
+    assert QZ(1, 2) in values.values()
 
 
 def test_holonomy_one_cocycle_law():
