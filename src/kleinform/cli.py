@@ -69,8 +69,6 @@ def build_parser():
     p.add_argument("--level", required=True)
     p.add_argument("--rep", type=_parse_rep, required=True)
     p.add_argument("--matrix", type=_parse_matrix, required=True)
-    p.add_argument("--window", type=int, default=None,
-                   help="override the lift window")
     add_format(p)
 
     p = sub.add_parser("klein", help="closed-form character on Gamma1(n) for a cyclic group")
@@ -199,7 +197,7 @@ def _cmd_character(args):
     alpha = _resolve_level(group, args.level)
     rep = TorusRep(group, args.rep[0], args.rep[1])
     matrix = SL2Z(*args.matrix)
-    value = r_diff(rep, alpha, matrix, window=args.window)
+    value = r_diff(rep, alpha, matrix)
     _emit_scalar(args.format, value)
     return 0
 
@@ -258,17 +256,17 @@ _COMMANDS = {
 }
 
 
-def _bind_negative_matrix(argv):
-    """Write "--matrix -11,12,-1,1" as "--matrix=-11,12,-1,1".
+def _bind_negative_values(argv):
+    """Write "--matrix -11,12,-1,1" as "--matrix=-11,12,-1,1", and so for --rep.
 
     argparse takes a separate value that starts with "-" and is not a
-    plain number for an option, so a matrix with a negative first entry
-    would otherwise be refused.
+    plain number for an option, so a matrix or rep with a negative first
+    entry would otherwise be refused.
     """
     out = []
     for arg in argv:
-        if out and out[-1] == "--matrix" and arg[:1] == "-" and arg[1:2].isdigit():
-            out[-1] = "--matrix=" + arg
+        if out and out[-1] in ("--matrix", "--rep") and arg[:1] == "-" and arg[1:2].isdigit():
+            out[-1] += "=" + arg
         else:
             out.append(arg)
     return out
@@ -276,7 +274,7 @@ def _bind_negative_matrix(argv):
 
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else list(argv)
-    args = build_parser().parse_args(_bind_negative_matrix(argv))
+    args = build_parser().parse_args(_bind_negative_values(argv))
     try:
         return _COMMANDS[args.command](args)
     except KleinformError as exc:

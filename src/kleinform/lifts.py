@@ -348,8 +348,8 @@ def _solve_window(rep, alpha, w):
     if not result.solvable:
         raise WindowError(
             "window solve infeasible at reduced row %d with residual %s; "
-            "this system should always be solvable, so enlarge the window "
-            "only after checking alpha is closed" % (result.row, result.residual)
+            "the system is solvable for every closed alpha, so this is a bug"
+            % (result.row, result.residual)
         )
     table = {}
     for pair, idx in unknowns.items():

@@ -17,9 +17,9 @@ from __future__ import annotations
 from itertools import product
 
 from .cochains import Cochain, is_closed, is_normalized
-from .errors import KleinformError, ValidationError, WindowError
+from .errors import KleinformError, ValidationError
 from .groups import centralizer
-from .lifts import DEFAULT_WINDOW, TorusRep, has_cyclic_image, lift_gamma
+from .lifts import TorusRep, lift_gamma
 from .qz import QZ
 
 ENUMERATION_CAP = 10**7
@@ -206,33 +206,57 @@ def _check_alpha_for(group, alpha):
         raise KleinformError("expected a closed normalized 3-cochain")
 
 
-def r_diff(rep, alpha, matrix, window=None, method="auto"):
-    """Character-style pairing of a rep with a mapping-class matrix.
+def _pairing(lift, m):
+    """The asymmetry of a lift at (M e2, M e1)."""
+    p1, p2 = (m.b, m.d), (m.a, m.c)
+    return lift.evaluate(p1, p2) - lift.evaluate(p2, p1)
 
-    Builds the normalized lift gamma of alpha pulled back along rep and
-    returns gamma(b*e1 + d*e2, a*e1 + c*e2) - gamma(a*e1 + c*e2, b*e1 + d*e2).
-    When the matrix stabilizes the rep this is the character value at the
-    matrix; it is exact for every matrix.  Window lifts start from a window
-    covering the matrix entries and are re-solved two steps wider on
-    evaluation misses.
+
+def _t_power(rep, alpha, q):
+    """r_diff(rep, alpha, T^q) from at most n = ord(g) letters T^(+-1).
+
+    rep.T^(+-n) = rep, so the j-th letter recurs |q| // n + (j < |q| % n) times.
+    """
+    letter = SL2Z.T() ** (1 if q > 0 else -1)
+    n, q = rep.group.order_of(rep.g), abs(q)
+    acc = QZ(0)
+    for j in range(min(n, q)):
+        acc += (q // n + (j < q % n)) * _pairing(lift_gamma(rep, alpha), letter)
+        rep = sl2z_act(rep, letter)
+    return acc
+
+
+def r_diff(rep, alpha, matrix):
+    """Character-style pairing of a rep with a mapping-class matrix M.
+
+    The value is gamma(M e2, M e1) - gamma(M e1, M e2) for gamma the
+    normalized lift of alpha pulled back along rep; when M stabilizes the
+    rep it is the character value at M.  It is exact for every M, and only
+    default lifts lift_gamma(rep', alpha) are built.  r_diff is the
+    1-cocycle of the SL2(Z) action on commuting pairs (Freed-Quinn, CMP 156,
+    1993): r(rep, A B) = r(rep, A) + r(sl2z_act(rep, A), B).  So Euclid's
+    algorithm on the first column peels S or T^q off M and moves the rest
+    to the moved rep.  A closed (cyclic-image) lift is read directly at any
+    M, a window-2 lift at M with entries in {-1, 0, 1}: the very lifts a
+    direct evaluation builds there.  (g, h).T = (g, g h), so rep.T^n = rep
+    for n = ord(g) and T^q costs at most n letters (_t_power).
     """
     _check_alpha_for(rep.group, alpha)
-    p1 = (matrix.b, matrix.d)
-    p2 = (matrix.a, matrix.c)
-    closed_route = method in ("auto", "closed") and has_cyclic_image(rep)
-    if window is not None:
-        w = int(window)
-    elif closed_route:
-        w = DEFAULT_WINDOW
-    else:
-        w = max(DEFAULT_WINDOW, 1 + max(abs(v) for v in matrix.entries()))
-    for _ in range(8):
-        lift = lift_gamma(rep, alpha, window=w, method=method)
-        try:
-            return lift.evaluate(p1, p2) - lift.evaluate(p2, p1)
-        except WindowError:
-            w += 2
-    raise WindowError("window growth did not cover the requested evaluation")
+    acc = QZ(0)
+    while True:
+        lift = lift_gamma(rep, alpha)
+        a, b, c, d = matrix.entries()
+        if lift.mode == "closed" or max(abs(a), abs(b), abs(c), abs(d)) <= 1:
+            return acc + _pairing(lift, matrix)
+        if c and abs(a) < abs(c):
+            head = SL2Z.S()
+            acc += _pairing(lift, head)
+        else:
+            q = a // c if c else b * d
+            head = SL2Z.T() ** q
+            acc += _t_power(rep, alpha, q)
+        rep = sl2z_act(rep, head)
+        matrix = head.inverse() @ matrix
 
 
 def dehn_character(group, element, alpha):

@@ -184,9 +184,12 @@ def test_lift_certificates_and_route_agreement():
     assert sigma_diff(fast, slow) == QZ(0)
     mats = (SL2Z.T(), SL2Z.S(), SL2Z.T() ** 2, SL2Z.S() @ SL2Z.T())
     for mat in mats:
-        closed_val = r_diff(rep, alpha, mat, method="closed")
-        window_val = r_diff(rep, alpha, mat, window=2, method="window")
+        # the asymmetry at (M e2, M e1) that r_diff reads off a lift
+        p1, p2 = (mat.b, mat.d), (mat.a, mat.c)
+        closed_val = fast.evaluate(p1, p2) - fast.evaluate(p2, p1)
+        window_val = slow.evaluate(p1, p2) - slow.evaluate(p2, p1)
         assert closed_val == window_val
+        assert r_diff(rep, alpha, mat) == closed_val
 
     # independent spot check of d(gamma) = pulled-back alpha, away from the
     # certificate's own window
@@ -257,8 +260,8 @@ def test_character_homomorphism_and_conjugation_covariance():
         orbit, _ = orbit_stabilizer(srep)
         assert len(orbit) == 1
         rep = TorusRep(srep.group, *srep.images)
-        val = r_diff(rep, pulled4, minus, window=2)
-        assert r_diff(rep, pulled4, minus @ minus, window=2) == val + val
+        val = r_diff(rep, pulled4, minus)
+        assert r_diff(rep, pulled4, minus @ minus) == val + val
 
 
 def test_moduli_counts_match_brute_force():

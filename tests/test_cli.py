@@ -55,9 +55,21 @@ def test_character_negative_first_matrix_entry(capsys):
     assert run(capsys, argv + ["--matrix=-1,3,0,-1"]) == (rc, out, err)
 
 
+def test_character_negative_first_rep_entry(capsys):
+    argv = ["character", "--group", "cyclic:3", "--level", "1"]
+    tail = ["--matrix", "1,0,0,1"]
+    rc, out, err = run(capsys, argv + ["--rep", "-1,0"] + tail)
+    assert (rc, out, err) == (1, "", "error: rep images outside the group\n")
+    assert run(capsys, argv + ["--rep=-1,0"] + tail) == (rc, out, err)
+
+
 def test_usage_error_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["klein", "--n", "3"])
+    assert exc.value.code == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["character", "--group", "cyclic:3", "--level", "1", "--rep", "1,0",
+              "--matrix", "1,3,0,1", "--window", "4"])
     assert exc.value.code == 2
 
 
@@ -100,12 +112,19 @@ def test_character_plain_and_csv(capsys):
     assert out == "value\n1/2\n"
 
 
-def test_character_window_override(capsys):
+def test_character_cyclic_without_window(capsys):
     rc, out, err = run(capsys, ["character", "--group", "cyclic:3",
                                 "--level", "1", "--rep", "1,0",
-                                "--matrix", "1,3,0,1", "--window", "4"])
+                                "--matrix", "1,3,0,1"])
     assert rc == 0
     assert out == "1/3\n"
+
+
+def test_character_noncyclic_large_entries(capsys):
+    # entries beyond window 2 on a non-cyclic rep, answered through S/T steps
+    argv = ["character", "--group", "klein4", "--level", "0", "--rep", "1,2"]
+    for matrix in ("1,4,0,1", "2,5,1,3"):
+        assert run(capsys, argv + ["--matrix", matrix]) == (0, "0\n", "")
 
 
 def test_dehn_from_file(capsys):

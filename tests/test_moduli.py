@@ -1,5 +1,6 @@
 import os
 import random
+from itertools import product
 
 import pytest
 
@@ -11,7 +12,7 @@ from kleinform.cochains import (
     pullback_cochain,
 )
 from kleinform.errors import KleinformError, ValidationError
-from kleinform.groups import GroupHom, cyclic, dihedral, direct_product, klein4, symmetric3
+from kleinform.groups import GroupHom, all_homs, cyclic, dihedral, direct_product, klein4, symmetric3
 from kleinform.intmat import xgcd
 from kleinform.lifts import E1, E2, TorusRep, conjugate_lift, has_cyclic_image, lift_gamma
 from kleinform.moduli import (
@@ -153,15 +154,20 @@ def test_r_diff_examples():
     ) == QZ(0)
 
 
-def test_r_diff_window_growth():
+def _asymmetry(lift, m):
+    # the direct route: the lift's asymmetry at (M e2, M e1)
+    p1, p2 = (m.b, m.d), (m.a, m.c)
+    return lift.evaluate(p1, p2) - lift.evaluate(p2, p1)
+
+
+def test_r_diff_matches_window_three_lift():
     v4 = klein4()
     h = GroupHom(v4, cyclic(2), [0, 1, 0, 1])
     alpha = pullback_cochain(alpha_cyclic(2, 1), h)
     rep = TorusRep(v4, 1, 2)
     wide = SL2Z(1, 2, 0, 1)
-    full = r_diff(rep, alpha, wide)
-    # starting from a window too small for the entries must grow and agree
-    assert r_diff(rep, alpha, wide, window=1) == full
+    direct = lift_gamma(rep, alpha, window=3, method="window")
+    assert r_diff(rep, alpha, wide) == _asymmetry(direct, wide)
 
 
 def test_r_diff_composition_law():
@@ -174,6 +180,43 @@ def test_r_diff_composition_law():
             lhs = r_diff(rep, alpha, a1 @ a2)
             rhs = r_diff(rep, alpha, a1) + r_diff(sl2z_act(rep, a1), alpha, a2)
             assert lhs == rhs
+
+
+def test_st_route_matches_direct_lift():
+    # a cocycle not pulled back from a cyclic group, on a non-cyclic rep
+    v8, cup = _cup_alpha_v8()
+    rep = TorusRep(v8, 6, 1)
+    assert not has_cyclic_image(rep)
+    direct = lift_gamma(rep, cup, window=3, method="window")
+    mats = [
+        SL2Z(*e)
+        for e in product(range(-2, 3), repeat=4)
+        if e[0] * e[3] - e[1] * e[2] == 1 and max(map(abs, e)) == 2
+    ]
+    assert len(mats) == 32
+    values = [r_diff(rep, cup, m) for m in mats]
+    assert values == [_asymmetry(direct, m) for m in mats]
+    assert any(values)
+
+
+def test_st_route_matches_cyclic_quotient():
+    # under chi*alpha the value only sees the rep through chi, and the
+    # quotient rep has a cyclic image, so its value comes from the closed lift
+    rnd = random.Random(19)
+    nonzero = False
+    for group, g, h in ((klein4(), 1, 2), (dihedral(4), 1, 4)):
+        rep = TorusRep(group, g, h)
+        assert not has_cyclic_image(rep)
+        chi = next(x for x in all_homs(group, cyclic(2)) if (x(g), x(h)) == (1, 0))
+        alpha = pullback_cochain(alpha_cyclic(2, 1), chi)
+        quotient = TorusRep(cyclic(2), 1, 0)
+        mats = [random_gamma1(rnd, 1, bound=10**3) for _ in range(12)]
+        mats.append(random_gamma1(rnd, 1, bound=10**9))
+        for m in mats:
+            value = r_diff(rep, alpha, m)
+            assert value == r_diff(quotient, alpha_cyclic(2, 1), m)
+            nonzero = nonzero or bool(value)
+    assert nonzero
 
 
 def test_dehn_character_examples():
