@@ -64,7 +64,7 @@ def build_parser():
     p.add_argument("--group", required=True)
     add_format(p)
 
-    p = sub.add_parser("character", help="pairing of a lift difference against a matrix")
+    p = sub.add_parser("character", help="character value of a commuting pair at an SL2(Z) matrix")
     p.add_argument("--group", required=True)
     p.add_argument("--level", required=True)
     p.add_argument("--rep", type=_parse_rep, required=True)

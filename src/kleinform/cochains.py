@@ -30,7 +30,7 @@ MAX_DEGREE = 4
 class Cochain:
     """A dense Q/Z-valued function on G^degree (degree between 0 and 4)."""
 
-    __slots__ = ("group", "degree", "values", "_hash")
+    __slots__ = ("group", "degree", "values", "_hash", "_scaled")
 
     def __init__(self, group, degree, values):
         if not isinstance(group, FiniteGroup):
@@ -47,6 +47,7 @@ class Cochain:
         self.degree = degree
         self.values = values
         self._hash = None
+        self._scaled = None
 
     @classmethod
     def zero(cls, group, degree):
@@ -98,12 +99,13 @@ def _unflatten(flat, n, degree):
 
 
 def _scaled_table(c):
-    """Common denominator L and the integer value table of c times L."""
-    denom = 1
-    for v in c.values:
-        denom = lcm(denom, v.denominator)
-    tab = [v.numerator * (denom // v.denominator) for v in c.values]
-    return denom, tab
+    """Common denominator L and the integer value table of c times L, kept on c."""
+    if c._scaled is None:
+        denom = 1
+        for v in c.values:
+            denom = lcm(denom, v.denominator)
+        c._scaled = denom, tuple(v.numerator * (denom // v.denominator) for v in c.values)
+    return c._scaled
 
 
 def _diff_int_table(c):
@@ -308,6 +310,8 @@ def parse_cochain_text(text):
         degree = int(head[-1])
     except ValueError:
         raise KleinformError("bad degree in cochain header")
+    if not (0 <= degree <= MAX_DEGREE):
+        raise KleinformError("cochain degree must lie in 0..%d" % MAX_DEGREE)
     group = parse_group_spec(spec)
     n = group.order
     vals = [QZ(0)] * (n**degree)

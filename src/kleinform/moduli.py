@@ -1,25 +1,25 @@
 """Moduli of flat surface bundles and their mapping-class characters.
 
 Genus-one bundles over a finite structure group G are commuting pairs in
-G; the mapping class group SL2(Z) acts on them through the plane, and the
-characters computed here (r_diff against a matrix, the Dehn-twist value,
-and the closed Klein form on Gamma1(n)) all come from one mechanism:
-evaluate a normalized lift of the pulled-back three-cocycle at the
-transformed fundamental class and compare with the untransformed one.
-The conjugation holonomy behind sections_dimension needs no lift: it is
-the transgression of alpha, six table lookups per value.  Everything is
-exact; agreements between the lift route and the closed forms are
-theorems that the test suite checks rather than assumes.
+G; the mapping class group SL2(Z) acts on them through the plane.  r_diff
+(the character against a matrix), the Dehn-twist value and the
+conjugation holonomy behind sections_dimension are defined through a
+normalized lift of the pulled-back three-cocycle, but the lift cancels out
+of each: they are read from alpha alone, a few table lookups per S or T
+letter or per conjugating element.  klein_character is the closed form
+r_diff takes on Gamma1(n).  Everything is exact; the tests keep the lift
+route (lifts.py) as the reference and check each agreement rather than
+assume it.
 """
 
 from __future__ import annotations
 
 from itertools import product
 
-from .cochains import Cochain, is_closed, is_normalized
+from .cochains import Cochain, _scaled_table, is_closed, is_normalized
 from .errors import KleinformError, ValidationError
 from .groups import centralizer
-from .lifts import TorusRep, lift_gamma
+from .lifts import TorusRep
 from .qz import QZ
 
 ENUMERATION_CAP = 10**7
@@ -206,66 +206,68 @@ def _check_alpha_for(group, alpha):
         raise KleinformError("expected a closed normalized 3-cochain")
 
 
-def _pairing(lift, m):
-    """The asymmetry of a lift at (M e2, M e1)."""
-    p1, p2 = (m.b, m.d), (m.a, m.c)
-    return lift.evaluate(p1, p2) - lift.evaluate(p2, p1)
-
-
-def _t_power(rep, alpha, q):
-    """r_diff(rep, alpha, T^q) from at most n = ord(g) letters T^(+-1).
-
-    rep.T^(+-n) = rep, so the j-th letter recurs |q| // n + (j < |q| % n) times.
-    """
-    letter = SL2Z.T() ** (1 if q > 0 else -1)
-    n, q = rep.group.order_of(rep.g), abs(q)
-    acc = QZ(0)
-    for j in range(min(n, q)):
-        acc += (q // n + (j < q % n)) * _pairing(lift_gamma(rep, alpha), letter)
-        rep = sl2z_act(rep, letter)
-    return acc
-
-
 def r_diff(rep, alpha, matrix):
     """Character-style pairing of a rep with a mapping-class matrix M.
 
-    The value is gamma(M e2, M e1) - gamma(M e1, M e2) for gamma the
-    normalized lift of alpha pulled back along rep; when M stabilizes the
-    rep it is the character value at M.  It is exact for every M, and only
-    default lifts lift_gamma(rep', alpha) are built.  r_diff is the
-    1-cocycle of the SL2(Z) action on commuting pairs (Freed-Quinn, CMP 156,
-    1993): r(rep, A B) = r(rep, A) + r(sl2z_act(rep, A), B).  So Euclid's
-    algorithm on the first column peels S or T^q off M and moves the rest
-    to the moved rep.  A closed (cyclic-image) lift is read directly at any
-    M, a window-2 lift at M with entries in {-1, 0, 1}: the very lifts a
-    direct evaluation builds there.  (g, h).T = (g, g h), so rep.T^n = rep
-    for n = ord(g) and T^q costs at most n letters (_t_power).
+    The value is c(M e2, M e1), where c(a, b) = gamma(a, b) - gamma(b, a)
+    for gamma any normalized lift of alpha pulled back along rho = (g, h)
+    (lifts.lift_gamma builds one); when M stabilizes the rep it is the
+    character value at M.  It is read off alpha alone.  Three instances
+    of the lift's defining identity give
+
+        c(a+b, x) = c(a, x) + c(b, x)
+                    + alpha(rho a, rho b, rho x) + alpha(rho x, rho a, rho b)
+                    - alpha(rho a, rho x, rho b),
+
+    and c(0, x) = 0, c(e2, e1) = 0 by normalization, so every normalized
+    lift has the same c.  At the generators:
+
+        T: c(e1+e2, e1) = alpha(g, h, g)
+        S: c(-e1, e2) = alpha(g, h, g^-1) - alpha(g, g^-1, h) - alpha(h, g, g^-1)
+
+    r_diff is the 1-cocycle of the SL2(Z) action on commuting pairs
+    (Freed-Quinn, CMP 156, 1993): r(rep, A B) = r(rep, A) + r(rep.A, B),
+    with (g, h).S = (h, g^-1) and (g, h).T^q = (g, g^q h).  So Euclid's
+    algorithm on the first column peels S or T^q, q = a // c, off M until
+    M = T^b.  T^q sums the letters alpha(g, x, g) for x = g^j h, j >= 0
+    (from x = g^q h, negated, when q < 0); rep.T^n = rep for n = ord(g), so
+    letter j recurs |q| // n + (j < |q| % n) times.  The sum runs in
+    integers over alpha's common denominator.
     """
     _check_alpha_for(rep.group, alpha)
-    acc = QZ(0)
+    grp = rep.group
+    n = grp.order
+    L, tab = _scaled_table(alpha)
+    g, h = rep.g, rep.h
+    a, b, c, d = matrix.entries()
+    acc = 0
     while True:
-        lift = lift_gamma(rep, alpha)
-        a, b, c, d = matrix.entries()
-        if lift.mode == "closed" or max(abs(a), abs(b), abs(c), abs(d)) <= 1:
-            return acc + _pairing(lift, matrix)
-        if c and abs(a) < abs(c):
-            head = SL2Z.S()
-            acc += _pairing(lift, head)
-        else:
-            q = a // c if c else b * d
-            head = SL2Z.T() ** q
-            acc += _t_power(rep, alpha, q)
-        rep = sl2z_act(rep, head)
-        matrix = head.inverse() @ matrix
+        if abs(a) < abs(c) or not c and a != 1:
+            gi = grp.inv(g)
+            acc += (tab[(g * n + h) * n + gi] - tab[(g * n + gi) * n + h]
+                    - tab[(h * n + g) * n + gi])
+            g, h, a, b, c, d = h, gi, c, d, -a, -b
+            continue
+        q = a // c if c else b
+        moved = grp.mul(grp.power(g, q), h)
+        x, m, k = (h if q > 0 else moved), abs(q), grp.order_of(g)
+        t = 0
+        for j in range(min(k, m)):
+            t += (m // k + (j < m % k)) * tab[(g * n + x) * n + g]
+            x = grp.mul(g, x)
+        acc += t if q > 0 else -t
+        if not c:
+            return QZ(acc, L)
+        h, a, b = moved, a - q * c, b - q * d
 
 
 def dehn_character(group, element, alpha):
     """Value of the Dehn-twist character at a group element.
 
     With n the order of the element, this is the sum of
-    alpha(g, g^j, g) over j from 0 to n-1; it agrees with
-    r_diff((g, 1), alpha, T^n), which the tests check on every element of
-    every small group rather than assume.
+    alpha(g, g^j, g) over j from 0 to n-1: the T^n block of r_diff at
+    (g, 1), which the tests check against the closed lift on every element
+    of every small group.
     """
     _check_alpha_for(group, alpha)
     element = int(element)
@@ -284,8 +286,8 @@ def klein_character(n, level, matrix):
     """The closed form of the Klein character on Gamma1(n).
 
     Equals level * b / n^2 mod 1.  Raises when the matrix is not in
-    Gamma1(n); the lift route r_diff reproduces this value on congruence
-    matrices, which is a theorem the tests exercise.
+    Gamma1(n); r_diff reproduces this value on congruence matrices, which
+    is a theorem the tests exercise.
     """
     if n < 1:
         raise KleinformError("klein_character needs n >= 1")

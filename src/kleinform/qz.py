@@ -40,11 +40,17 @@ class QZ:
 
     @classmethod
     def from_str(cls, text):
-        """Parse "p/q" or a bare integer string (which is always the zero residue)."""
+        """Parse "p/q" or a bare integer string (which is always the zero residue).
+
+        Raises ValueError on malformed text, a zero denominator included.
+        """
         text = text.strip()
         if "/" in text:
             num, den = text.split("/", 1)
-            return cls(int(num), int(den))
+            num, den = int(num), int(den)
+            if not den:
+                raise ValueError("zero denominator in %r" % text)
+            return cls(num, den)
         return cls(int(text))
 
     def __add__(self, other):

@@ -129,9 +129,16 @@ def _pulled_back_levels(grp):
     return alphas
 
 
+def _asymmetry(lift, m):
+    # the lift route: the lift's asymmetry at (M e2, M e1)
+    p1, p2 = (m.b, m.d), (m.a, m.c)
+    return lift.evaluate(p1, p2) - lift.evaluate(p2, p1)
+
+
 def test_dehn_twist_matches_lift_route():
     """dehn_character agrees with the pairing against T^order(g) for every
-    element of every group of order at most 12, at every character level."""
+    element of every group of order at most 12, at every character level,
+    both through r_diff and through the asymmetry of the closed lift."""
     groups = _small_groups()
     assert len(groups) == 24
     by_order = {}
@@ -146,7 +153,12 @@ def test_dehn_twist_matches_lift_route():
             for g in grp.elements:
                 rep = TorusRep(grp, g, 0)
                 power = t ** grp.order_of(g)
-                assert dehn_character(grp, g, alpha) == r_diff(rep, alpha, power)
+                value = dehn_character(grp, g, alpha)
+                assert value == r_diff(rep, alpha, power)
+                # the image <g> is cyclic, so the default lift is closed
+                lift = lift_gamma(rep, alpha)
+                assert lift.mode == "closed"
+                assert value == _asymmetry(lift, power)
 
     # the order-two case is blind to the sign convention: both routes give 1/2
     two = cyclic(2)

@@ -246,6 +246,26 @@ def test_groupoid_check_invalid(tmp_path, capsys):
     assert len(lines) > 1
 
 
+def test_verify_alpha_zero_denominator(tmp_path, capsys):
+    path = tmp_path / "zero.cochain"
+    path.write_text("group s3 degree 3\n1 1 2 1/0\n")
+    rc, out, err = run(capsys, ["verify-alpha", "--group", "s3",
+                                "--level", "file:%s" % path])
+    assert (rc, out) == (1, "")
+    assert err.startswith("error:")
+
+
+def test_groupoid_check_zero_denominator(tmp_path, capsys):
+    with open(os.path.join(DATA, "flip.groupoid"), encoding="utf-8") as fh:
+        text = fh.read()
+    assert "val t 1/2" in text
+    path = tmp_path / "zero.groupoid"
+    path.write_text(text.replace("val t 1/2", "val t 1/0"))
+    rc, out, err = run(capsys, ["groupoid-check", "--file", str(path)])
+    assert (rc, out) == (1, "")
+    assert err.startswith("error:")
+
+
 def test_groupoid_check_missing_file(capsys):
     rc, out, err = run(capsys, ["groupoid-check", "--file", "/no/such/file"])
     assert rc == 1

@@ -1,5 +1,6 @@
 import os
 import random
+import tracemalloc
 
 import pytest
 
@@ -218,6 +219,20 @@ def test_parse_cochain_text_errors():
         parse_cochain_text("group cyclic:2 degree 2\n1 5 1/2\n")
     with pytest.raises(KleinformError):
         parse_cochain_text("group cyclic:2 degree 2\n1 1 x/y\n")
+
+
+def test_parse_cochain_text_rejects_degree_before_allocating():
+    # the value table has n**degree entries: on s3, 6**37 overflows an
+    # index, 6**-1 is a float and 6**9 is ten million entries
+    for degree in (37, -1, 9):
+        tracemalloc.start()
+        try:
+            with pytest.raises(KleinformError, match="degree must lie in 0..4"):
+                parse_cochain_text("group s3 degree %d\n" % degree)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10**6
 
 
 def test_round_trip_through_text():

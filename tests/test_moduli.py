@@ -199,6 +199,30 @@ def test_st_route_matches_direct_lift():
     assert any(values)
 
 
+def test_letter_values_match_lift_asymmetry():
+    # r_diff reads I, -I, S, S^-1, T and T^-1 from alpha alone; compare with
+    # the default lift's asymmetry: window-2 solves on the (Z/2)^3 reps,
+    # closed lifts on every commuting pair of S3
+    s, t = SL2Z.S(), SL2Z.T()
+    letters = (SL2Z.identity(), s @ s, s, s.inverse(), t, t.inverse())
+    v8, cup = _cup_alpha_v8()
+    s3 = symmetric3()
+    path = os.path.join(os.path.dirname(__file__), "data", "s3_cubetwist.cochain")
+    cases = (
+        (v8, cup, [(6, 1), (4, 2), (2, 1), (4, 1)]),
+        (s3, load_cochain_file(path), [rep.images for rep in enumerate_bundles(s3, 1)]),
+    )
+    for group, alpha, pairs in cases:
+        values = []
+        for g, h in pairs:
+            rep = TorusRep(group, g, h)
+            lift = lift_gamma(rep, alpha)
+            for m in letters:
+                values.append(r_diff(rep, alpha, m))
+                assert values[-1] == _asymmetry(lift, m)
+        assert any(values)
+
+
 def test_st_route_matches_cyclic_quotient():
     # under chi*alpha the value only sees the rep through chi, and the
     # quotient rep has a cyclic image, so its value comes from the closed lift
@@ -212,9 +236,10 @@ def test_st_route_matches_cyclic_quotient():
         quotient = TorusRep(cyclic(2), 1, 0)
         mats = [random_gamma1(rnd, 1, bound=10**3) for _ in range(12)]
         mats.append(random_gamma1(rnd, 1, bound=10**9))
+        closed = lift_gamma(quotient, alpha_cyclic(2, 1))
         for m in mats:
             value = r_diff(rep, alpha, m)
-            assert value == r_diff(quotient, alpha_cyclic(2, 1), m)
+            assert value == _asymmetry(closed, m)
             nonzero = nonzero or bool(value)
     assert nonzero
 

@@ -31,6 +31,8 @@ def test_from_str():
     assert QZ.from_str(" 5/8 ") == QZ(5, 8)
     with pytest.raises(ValueError):
         QZ.from_str("a/b")
+    with pytest.raises(ValueError):
+        QZ.from_str("1/0")
 
 
 def test_arithmetic():
