@@ -2,7 +2,7 @@
 
 from .errors import KleinformError, ValidationError, WindowError, CertificateError
 from .qz import QZ, halve
-from .intmat import xgcd, solve_sparse, SmithSolveResult
+from .intmat import xgcd, solve_sparse, SolveResult
 from .groups import (
     FiniteGroup, GroupHom, cyclic, klein4, symmetric3, dihedral, dicyclic,
     alternating4, direct_product, closure, centralizer,
@@ -11,13 +11,11 @@ from .groups import (
 from .cochains import (
     Cochain, CochainReport, differential, validate_cochain, alpha_cyclic,
     pullback_cochain, coboundary_solve, parse_cochain_text, load_cochain_file)
-from .lifts import (
-    TorusRep, GammaLift, lift_gamma, conjugate_lift, sigma_diff,
-    has_cyclic_image, DEFAULT_WINDOW, E1, E2)
+from .lifts import GammaLift, lift_gamma, conjugate_lift, sigma_diff, E1, E2
 from .moduli import (
-    SL2Z, SurfaceRep, in_gamma1, enumerate_bundles, orbit_stabilizer,
-    sl2z_act, r_diff, dehn_character, klein_character, holonomy_cocycle_R,
-    sections_dimension)
+    TorusRep, SL2Z, SurfaceRep, in_gamma1, enumerate_bundles, orbit_stabilizer,
+    torus_orbits, sl2z_act, r_diff, dehn_character, klein_character,
+    holonomy_cocycle_R, sections_dimension)
 from .groupoid_lines import (
     FiniteGroupoidPresentation, GroupoidCocycle, GroupoidReport,
     validate_groupoid_cocycle, sections_dim_groupoid, shift_cocycle,

@@ -13,8 +13,7 @@ from .cochains import Cochain, alpha_cyclic, load_cochain_file, validate_cochain
 from .errors import KleinformError
 from .groupoid_lines import GroupoidCocycle, load_groupoid_file, sections_dim_groupoid, validate_groupoid_cocycle
 from .groups import cyclic, parse_group_spec
-from .lifts import TorusRep
-from .moduli import SL2Z, dehn_character, enumerate_bundles, klein_character, orbit_stabilizer, r_diff, sections_dimension
+from .moduli import SL2Z, TorusRep, dehn_character, enumerate_bundles, klein_character, r_diff, sections_dimension, torus_orbits
 from .qz import QZ
 
 
@@ -168,18 +167,7 @@ def _cmd_enumerate(args):
 
 
 def _cmd_orbits(args):
-    group = parse_group_spec(args.group)
-    seen = set()
-    rows = []
-    for rep in enumerate_bundles(group, 1):
-        if rep.images in seen:
-            continue
-        orbit, stab = orbit_stabilizer(rep)
-        for other in orbit:
-            seen.add(other.images)
-        least = min(other.images for other in orbit)
-        rows.append((least, len(orbit), stab))
-    rows.sort()
+    rows = torus_orbits(parse_group_spec(args.group))
     if args.format == "csv":
         w = _csv_writer()
         w.writerow(["rep", "orbit", "stab"])

@@ -10,6 +10,15 @@ from __future__ import annotations
 
 from .errors import KleinformError, ValidationError
 
+# Largest order a group spec or group file may name: checking a degree-3
+# cochain costs order**4, and verify-alpha on cyclic:48 takes about 2 s.
+MAX_ORDER = 48
+
+
+def _check_order(n):
+    if n > MAX_ORDER:
+        raise KleinformError("group order %d exceeds the cap %d" % (n, MAX_ORDER))
+
 
 class FiniteGroup:
     """A finite group given by its multiplication table.
@@ -382,6 +391,7 @@ def parse_group_text(text):
         n = int(parts[1])
     except ValueError:
         raise KleinformError("malformed order line: %r" % lines[0])
+    _check_order(n)
     if len(lines) - 1 != n:
         raise KleinformError("expected %d table rows, found %d" % (n, len(lines) - 1))
     table = []
@@ -411,6 +421,7 @@ def parse_group_spec(spec):
             n = int(spec.split(":", 1)[1])
         except ValueError:
             raise KleinformError("bad cyclic order in spec %r" % spec)
+        _check_order(n)
         return cyclic(n)
     if spec == "klein4":
         return klein4()

@@ -32,7 +32,7 @@ def xgcd(a, b):
     return old_r, old_x, old_y
 
 
-class SmithSolveResult:
+class SolveResult:
     """Outcome of a Q/Z solve: either a solution or a failing-row certificate."""
 
     __slots__ = ("solution", "row", "residual")
@@ -48,8 +48,8 @@ class SmithSolveResult:
 
     def __repr__(self):
         if self.solvable:
-            return "SmithSolveResult(solution=%r)" % (self.solution,)
-        return "SmithSolveResult(row=%r, residual=%r)" % (self.row, self.residual)
+            return "SolveResult(solution=%r)" % (self.solution,)
+        return "SolveResult(row=%r, residual=%r)" % (self.row, self.residual)
 
 
 def _as_fraction_mod1(v):
@@ -93,7 +93,7 @@ def solve_sparse(rows, ncols, rhs):
         if not work[i]:
             active.discard(i)
             if b[i] != 0:
-                return SmithSolveResult(row=i, residual=QZ(b[i]))
+                return SolveResult(row=i, residual=QZ(b[i]))
 
     def combine(i, j, c):
         # one xgcd step on rows i and j at column c; afterwards row j loses c
@@ -192,7 +192,7 @@ def solve_sparse(rows, ncols, rhs):
 
     drain_empties()
     if verdict is not None:
-        return SmithSolveResult(row=verdict[0], residual=QZ(verdict[1]))
+        return SolveResult(row=verdict[0], residual=QZ(verdict[1]))
 
     x = [Fraction(0)] * ncols
     assigned = [False] * ncols
@@ -211,7 +211,7 @@ def solve_sparse(rows, ncols, rhs):
 
     solution = [QZ(v) for v in x]
     _verify_sparse(rows, solution, rhs)
-    return SmithSolveResult(solution=solution)
+    return SolveResult(solution=solution)
 
 
 def _verify_sparse(rows, solution, rhs):

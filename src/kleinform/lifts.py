@@ -14,7 +14,9 @@ staircase closed formula when the image of rho is cyclic, and an exact
 linear solve over a finite window of the plane otherwise.  Every lift,
 however built, re-verifies its defining equation on all window triples
 before it is handed out; a failure there is a CertificateError and means a
-bug, never bad input.
+bug, never bad input.  No other module computes with these lifts: moduli
+reads every character from alpha, and the tests use this module as the
+reference route.
 """
 
 from __future__ import annotations
@@ -22,60 +24,15 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm
 
-from .cochains import Cochain
-from .errors import CertificateError, KleinformError, ValidationError, WindowError
+from .errors import CertificateError, KleinformError, WindowError
 from .groups import closure, cyclic_generator
 from .intmat import solve_sparse
+from .moduli import TorusRep, _check_alpha_for
 from .qz import QZ
 
 E1 = (1, 0)
 E2 = (0, 1)
 DEFAULT_WINDOW = 2
-
-
-class TorusRep:
-    """A homomorphism Z^2 -> G, given by the commuting images g, h of e1, e2."""
-
-    __slots__ = ("group", "g", "h")
-
-    def __init__(self, group, g, h):
-        g, h = int(g), int(h)
-        if not (0 <= g < group.order and 0 <= h < group.order):
-            raise ValidationError("rep images outside the group")
-        if not group.commutes(g, h):
-            raise ValidationError("rep images %d and %d do not commute" % (g, h))
-        self.group = group
-        self.g = g
-        self.h = h
-
-    def image(self, x, y):
-        """rho(x*e1 + y*e2) = g^x h^y."""
-        grp = self.group
-        return grp.mul(grp.power(self.g, x), grp.power(self.h, y))
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, TorusRep)
-            and self.group == other.group
-            and (self.g, self.h) == (other.g, other.h)
-        )
-
-    def __hash__(self):
-        return hash((self.group, self.g, self.h))
-
-    def __repr__(self):
-        return "TorusRep(g=%d, h=%d)" % (self.g, self.h)
-
-
-def _check_alpha(alpha):
-    from .cochains import is_closed, is_normalized
-
-    if not isinstance(alpha, Cochain) or alpha.degree != 3:
-        raise KleinformError("lifting needs a degree-3 cochain")
-    if not is_closed(alpha):
-        raise KleinformError("lifting needs a closed 3-cochain")
-    if not is_normalized(alpha):
-        raise KleinformError("lifting needs a normalized 3-cochain")
 
 
 class _Staircase:
@@ -369,9 +326,7 @@ def lift_gamma(rep, alpha, window=None, method="auto"):
     lifts can only be evaluated inside their window, closed lifts anywhere.
     The certificate re-verification runs on every construction.
     """
-    _check_alpha(alpha)
-    if alpha.group != rep.group:
-        raise KleinformError("alpha lives on a different group than the rep")
+    _check_alpha_for(rep.group, alpha)
     w = DEFAULT_WINDOW if window is None else int(window)
     if w < 1:
         raise KleinformError("window must be at least 1")
@@ -462,39 +417,18 @@ def conjugate_lift(lift, z):
     rep2 = TorusRep(grp, grp.conj(z, rep.g), grp.conj(z, rep.h))
     alpha = lift.alpha
     base = lift._fn
-    w = lift.window
-    rho = {}
-    crho = {}
-    for pt in _window_points(w):
-        u = rep.image(pt[0], pt[1])
-        rho[pt] = u
-        crho[pt] = grp.conj(z, u)
 
-    def beta(a, b):
-        u, v = rho[a], rho[b]
-        cu, cv = crho[a], crho[b]
-        return (
+    def fn(a, b):
+        # rho is defined on all of Z^2, so one formula serves both modes
+        u = rep.image(a[0], a[1])
+        v = rep.image(b[0], b[1])
+        cu = grp.conj(z, u)
+        cv = grp.conj(z, v)
+        corr = (
             alpha(z, u, v).as_fraction()
             + alpha(cu, cv, z).as_fraction()
             - alpha(cu, z, v).as_fraction()
         )
+        return (base(a, b) + corr) % 1
 
-    if lift.mode == "closed":
-        # the correction only needs rho, which is defined everywhere
-        def fn(a, b):
-            u = rep.image(a[0], a[1])
-            v = rep.image(b[0], b[1])
-            cu = grp.conj(z, u)
-            cv = grp.conj(z, v)
-            corr = (
-                alpha(z, u, v).as_fraction()
-                + alpha(cu, cv, z).as_fraction()
-                - alpha(cu, z, v).as_fraction()
-            )
-            return (base(a, b) + corr) % 1
-
-    else:
-        def fn(a, b):
-            return (base(a, b) + beta(a, b)) % 1
-
-    return GammaLift(rep2, alpha, w, lift.mode, fn, normalized=False)
+    return GammaLift(rep2, alpha, lift.window, lift.mode, fn, normalized=False)

@@ -1,15 +1,15 @@
 """Moduli of flat surface bundles and their mapping-class characters.
 
-Genus-one bundles over a finite structure group G are commuting pairs in
-G; the mapping class group SL2(Z) acts on them through the plane.  r_diff
-(the character against a matrix), the Dehn-twist value and the
-conjugation holonomy behind sections_dimension are defined through a
-normalized lift of the pulled-back three-cocycle, but the lift cancels out
-of each: they are read from alpha alone, a few table lookups per S or T
-letter or per conjugating element.  klein_character is the closed form
-r_diff takes on Gamma1(n).  Everything is exact; the tests keep the lift
-route (lifts.py) as the reference and check each agreement rather than
-assume it.
+Genus-one bundles over a finite structure group G are commuting pairs
+(TorusRep); SL2(Z) acts on them through the plane and G by conjugation
+(torus_orbits).  r_diff (the character against a matrix, whose T^ord
+block is dehn_character) and the conjugation holonomy behind
+sections_dimension are defined through a normalized lift of the
+pulled-back three-cocycle, but the lift cancels out of each: they are read
+from alpha's integer table over its common denominator, a few lookups per
+S or T letter or per conjugating element.  klein_character is the closed
+form r_diff takes on Gamma1(n).  The tests keep the lift route (lifts.py,
+which imports this module, never the reverse) as the reference.
 """
 
 from __future__ import annotations
@@ -19,10 +19,43 @@ from itertools import product
 from .cochains import Cochain, _scaled_table, is_closed, is_normalized
 from .errors import KleinformError, ValidationError
 from .groups import centralizer
-from .lifts import TorusRep
 from .qz import QZ
 
 ENUMERATION_CAP = 10**7
+
+
+class TorusRep:
+    """A homomorphism Z^2 -> G, given by the commuting images g, h of e1, e2."""
+
+    __slots__ = ("group", "g", "h")
+
+    def __init__(self, group, g, h):
+        g, h = int(g), int(h)
+        if not (0 <= g < group.order and 0 <= h < group.order):
+            raise ValidationError("rep images outside the group")
+        if not group.commutes(g, h):
+            raise ValidationError("rep images %d and %d do not commute" % (g, h))
+        self.group = group
+        self.g = g
+        self.h = h
+
+    def image(self, x, y):
+        """rho(x*e1 + y*e2) = g^x h^y."""
+        grp = self.group
+        return grp.mul(grp.power(self.g, x), grp.power(self.h, y))
+
+    def __eq__(self, other):
+        return (
+            isinstance(other, TorusRep)
+            and self.group == other.group
+            and (self.g, self.h) == (other.g, other.h)
+        )
+
+    def __hash__(self):
+        return hash((self.group, self.g, self.h))
+
+    def __repr__(self):
+        return "TorusRep(g=%d, h=%d)" % (self.g, self.h)
 
 
 class SL2Z:
@@ -188,6 +221,24 @@ def orbit_stabilizer(srep):
     return orbit, tuple(stab)
 
 
+def torus_orbits(group):
+    """Conjugation orbits of commuting pairs: sorted (least pair, size, stabilizer).
+
+    The lexicographic scan meets each orbit first at its least member; the
+    stabilizer is that pair's joint centralizer, as a sorted tuple.
+    """
+    seen = set()
+    rows = []
+    for g in group.elements:
+        for h in group.elements:
+            if (g, h) in seen or not group.commutes(g, h):
+                continue
+            orbit = {(group.conj(z, g), group.conj(z, h)) for z in group.elements}
+            seen |= orbit
+            rows.append(((g, h), len(orbit), centralizer(group, (g, h))))
+    return rows
+
+
 def sl2z_act(rep, matrix):
     """The right SL2(Z) action on torus reps: (g, h) -> (g^a h^c, g^b h^d)."""
     return TorusRep(
@@ -262,24 +313,17 @@ def r_diff(rep, alpha, matrix):
 
 
 def dehn_character(group, element, alpha):
-    """Value of the Dehn-twist character at a group element.
+    """Value of the Dehn-twist character at a group element g of order n.
 
-    With n the order of the element, this is the sum of
-    alpha(g, g^j, g) over j from 0 to n-1: the T^n block of r_diff at
-    (g, 1), which the tests check against the closed lift on every element
-    of every small group.
+    It is r_diff at (g, 1) against T^n: the sum of alpha(g, g^j, g) over
+    j < n.  The tests check it against that sum and the closed lift.
     """
     _check_alpha_for(group, alpha)
     element = int(element)
     if not (0 <= element < group.order):
         raise KleinformError("element index outside the group")
-    n = group.order_of(element)
-    acc = QZ(0)
-    power = 0
-    for _ in range(n):
-        acc = acc + alpha(element, power, element)
-        power = group.mul(power, element)
-    return acc
+    twist = SL2Z(1, group.order_of(element), 0, 1)
+    return r_diff(TorusRep(group, element, 0), alpha, twist)
 
 
 def klein_character(n, level, matrix):
@@ -294,6 +338,15 @@ def klein_character(n, level, matrix):
     if not in_gamma1(matrix, n):
         raise KleinformError("matrix not in Gamma1(%d)" % n)
     return QZ(level * matrix.b, n * n)
+
+
+def _holonomy_scaled(group, tab, g, h, z):
+    """holonomy_cocycle_R at (g, h) and z, as an integer over alpha's L."""
+    n = group.order
+    cg, ch = group.conj(z, g), group.conj(z, h)
+    return (tab[(z * n + g) * n + h] - tab[(z * n + h) * n + g]
+            + tab[(cg * n + ch) * n + z] - tab[(ch * n + cg) * n + z]
+            - tab[(cg * n + z) * n + h] + tab[(ch * n + z) * n + g])
 
 
 def holonomy_cocycle_R(rep, alpha, z):
@@ -318,41 +371,23 @@ def holonomy_cocycle_R(rep, alpha, z):
     cancels.  The tests keep the lift route as the oracle.
     """
     _check_alpha_for(rep.group, alpha)
-    grp = rep.group
     z = int(z)
-    if not (0 <= z < grp.order):
+    if not (0 <= z < rep.group.order):
         raise KleinformError("conjugating element outside the group")
-    g, h = rep.g, rep.h
-    cg, ch = grp.conj(z, g), grp.conj(z, h)
-    return (
-        (alpha(z, g, h) - alpha(z, h, g))
-        + (alpha(cg, ch, z) - alpha(ch, cg, z))
-        - (alpha(cg, z, h) - alpha(ch, z, g))
-    )
+    L, tab = _scaled_table(alpha)
+    return QZ(_holonomy_scaled(rep.group, tab, rep.g, rep.h, z), L)
 
 
 def sections_dimension(group, alpha):
     """Number of conjugation orbits of torus reps with vanishing stabilizer character.
 
-    For each orbit of commuting pairs (represented by its lexicographically
-    least member) the character z -> holonomy_cocycle_R(rep, alpha, z) is
-    evaluated over the joint stabilizer; orbits where it vanishes
-    identically are counted.
+    For each row of torus_orbits, holonomy_cocycle_R at the least pair is
+    read in integers over alpha's common denominator at every element of
+    the stabilizer; orbits where it vanishes throughout are counted.
     """
     _check_alpha_for(group, alpha)
-    seen = set()
-    count = 0
-    for g in group.elements:
-        for h in group.elements:
-            if not group.commutes(g, h):
-                continue
-            if (g, h) in seen:
-                continue
-            orbit = {(group.conj(z, g), group.conj(z, h)) for z in group.elements}
-            seen.update(orbit)
-            g0, h0 = min(orbit)
-            rep = TorusRep(group, g0, h0)
-            stab = centralizer(group, [g0, h0])
-            if all(not holonomy_cocycle_R(rep, alpha, z) for z in stab):
-                count += 1
-    return count
+    L, tab = _scaled_table(alpha)
+    return sum(
+        all(_holonomy_scaled(group, tab, g, h, z) % L == 0 for z in stab)
+        for (g, h), _, stab in torus_orbits(group)
+    )

@@ -55,6 +55,7 @@ from kleinform.moduli import (
     r_diff,
     sections_dimension,
     sl2z_act,
+    torus_orbits,
 )
 from kleinform.qz import QZ
 
@@ -310,6 +311,25 @@ def test_moduli_counts_match_brute_force():
         for srep in enumerate_bundles(grp, 1):
             orbit, stab = orbit_stabilizer(srep)
             assert len(orbit) * len(stab) == grp.order
+
+
+def test_torus_orbits_match_orbit_stabilizer():
+    """torus_orbits on every small group equals the rows built from the
+    genus-1 bundle list and orbit_stabilizer, and orbit size times
+    stabilizer size is the group order."""
+    for grp in _small_groups():
+        seen = set()
+        rows = []
+        for srep in enumerate_bundles(grp, 1):
+            if srep.images in seen:
+                continue
+            orbit, stab = orbit_stabilizer(srep)
+            seen.update(other.images for other in orbit)
+            rows.append((min(other.images for other in orbit), len(orbit), stab))
+        rows.sort()
+        assert torus_orbits(grp) == rows
+        for _, size, stab in rows:
+            assert size * len(stab) == grp.order
 
 
 def _conj_character(group, alpha, g, h, z):

@@ -1,4 +1,5 @@
 import os
+import time
 
 import pytest
 
@@ -100,6 +101,21 @@ def test_verify_alpha_rejects_open_cochain(tmp_path, capsys):
                                 "--level", "file:%s" % path])
     assert rc == 1
     assert out.startswith("closed: no")
+
+
+def test_group_order_cap_fails_fast(tmp_path, capsys):
+    # cyclic:300 asks for a 27M-entry table, degree 4 on cyclic:100 for 10^8
+    path = tmp_path / "big.cochain"
+    path.write_text("group cyclic:100 degree 4\n")
+    for argv in (["verify-alpha", "--group", "cyclic:300", "--level", "1"],
+                 ["verify-alpha", "--group", "cyclic:4", "--level", "file:%s" % path]):
+        start = time.perf_counter()
+        rc, out, err = run(capsys, argv)
+        assert time.perf_counter() - start < 1
+        assert (rc, out) == (1, "")
+        assert err.startswith("error:")
+    rc, out, err = run(capsys, ["verify-alpha", "--group", "cyclic:40", "--level", "1"])
+    assert (rc, out, err) == (0, "closed: yes\nnormalized: yes\n", "")
 
 
 def test_character_plain_and_csv(capsys):

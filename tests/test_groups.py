@@ -5,6 +5,7 @@ import pytest
 
 from kleinform.errors import KleinformError, ValidationError
 from kleinform.groups import (
+    MAX_ORDER,
     FiniteGroup,
     GroupHom,
     all_homs,
@@ -246,3 +247,13 @@ def test_parse_group_spec(tmp_path):
         parse_group_spec("cyclic:x")
     with pytest.raises(KleinformError):
         parse_group_spec("sporadic")
+
+
+def test_group_order_cap():
+    # textual specs and files stop at MAX_ORDER; library constructors do not
+    assert parse_group_spec("cyclic:%d" % MAX_ORDER) == cyclic(MAX_ORDER)
+    with pytest.raises(KleinformError, match="exceeds the cap"):
+        parse_group_spec("cyclic:%d" % (MAX_ORDER + 1))
+    with pytest.raises(KleinformError, match="exceeds the cap"):
+        parse_group_text("order %d\n0\n" % (MAX_ORDER + 1))
+    assert cyclic(MAX_ORDER + 1).order == MAX_ORDER + 1

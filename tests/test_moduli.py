@@ -14,10 +14,11 @@ from kleinform.cochains import (
 from kleinform.errors import KleinformError, ValidationError
 from kleinform.groups import GroupHom, all_homs, cyclic, dihedral, direct_product, klein4, symmetric3
 from kleinform.intmat import xgcd
-from kleinform.lifts import E1, E2, TorusRep, conjugate_lift, has_cyclic_image, lift_gamma
+from kleinform.lifts import E1, E2, conjugate_lift, has_cyclic_image, lift_gamma
 from kleinform.moduli import (
     SL2Z,
     SurfaceRep,
+    TorusRep,
     dehn_character,
     enumerate_bundles,
     holonomy_cocycle_R,
@@ -253,15 +254,17 @@ def test_dehn_character_examples():
 
 
 def test_dehn_matches_r_diff_quick():
+    # both against the T^ord block summed here, apart from r_diff's walk
     for n, level in ((2, 1), (3, 1), (4, 3), (6, 5)):
         group = cyclic(n)
         alpha = alpha_cyclic(n, level)
         for g in group.elements:
             order = group.order_of(g)
             twist = SL2Z.T() ** order
-            assert dehn_character(group, g, alpha) == r_diff(
-                TorusRep(group, g, 0), alpha, twist
-            )
+            block = QZ(sum(alpha(g, group.power(g, j), g).as_fraction()
+                           for j in range(order)))
+            assert dehn_character(group, g, alpha) == block
+            assert r_diff(TorusRep(group, g, 0), alpha, twist) == block
 
 
 def test_klein_character_examples():
@@ -393,16 +396,26 @@ def test_holonomy_matches_oracle_everywhere():
 
 def test_holonomy_one_cocycle_law():
     s3, alpha = _coboundary_alpha_s3()
-    for images in ((3, 4), (1, 0), (1, 1)):
-        rep = TorusRep(s3, images[0], images[1])
-        for z1 in s3.elements:
-            for z2 in s3.elements:
-                moved = TorusRep(s3, s3.conj(z2, rep.g), s3.conj(z2, rep.h))
-                lhs = holonomy_cocycle_R(rep, alpha, s3.mul(z1, z2))
-                rhs = holonomy_cocycle_R(rep, alpha, z2) + holonomy_cocycle_R(
-                    moved, alpha, z1
-                )
-                assert lhs == rhs
+    cube = load_cochain_file(
+        os.path.join(os.path.dirname(__file__), "data", "s3_cubetwist.cochain"))
+    v8, cup = _cup_alpha_v8()
+    s3_pairs = [rep.images for rep in enumerate_bundles(s3, 1)]
+    # the coboundary level, then two levels that are not coboundaries
+    for group, level, pairs in (
+        (s3, alpha, ((3, 4), (1, 0), (1, 1))),
+        (s3, cube, s3_pairs),
+        (v8, cup, [rep.images for rep in enumerate_bundles(v8, 1)]),
+    ):
+        for images in pairs:
+            rep = TorusRep(group, images[0], images[1])
+            for z1 in group.elements:
+                for z2 in group.elements:
+                    moved = TorusRep(group, group.conj(z2, rep.g), group.conj(z2, rep.h))
+                    lhs = holonomy_cocycle_R(rep, level, group.mul(z1, z2))
+                    rhs = holonomy_cocycle_R(rep, level, z2) + holonomy_cocycle_R(
+                        moved, level, z1
+                    )
+                    assert lhs == rhs
 
 
 def test_sections_dimension_literals():
