@@ -12,15 +12,20 @@ choice flips both of the middle terms at once, which drops out of the
 composite), and it is the convention under which the explicit staircase
 lifts of three-cocycles in lifts.py satisfy their defining equation.  Do
 not mix in cochains built for the opposite convention.
+
+A cochain keeps its values as integers over one common denominator L, and
+the differential, the validation checks and every reader in moduli work
+on that table; QZ values are built only when asked for.  Closedness and
+normalization are computed once and kept on the cochain.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
-from math import lcm
+from itertools import chain
+from math import gcd, lcm
 
 from .errors import KleinformError, ValidationError
-from .groups import FiniteGroup, GroupHom, cyclic
+from .groups import MAX_ORDER, FiniteGroup, cyclic
 from .intmat import solve_sparse
 from .qz import QZ
 
@@ -28,9 +33,16 @@ MAX_DEGREE = 4
 
 
 class Cochain:
-    """A dense Q/Z-valued function on G^degree (degree between 0 and 4)."""
+    """A dense Q/Z-valued function on G^degree (degree between 0 and 4).
 
-    __slots__ = ("group", "degree", "values", "_hash", "_scaled")
+    Stored in canonical integer form: L, the least common denominator of
+    the values, and ints, the tuple of numerators in 0..L-1 over L in flat
+    order (the first argument most significant).  The QZ tuple `values` is
+    built on first use; equality and hashing read (group, degree, L, ints).
+    """
+
+    __slots__ = ("group", "degree", "L", "ints", "_values", "_hash", "_closed",
+                 "_normalized")
 
     def __init__(self, group, degree, values):
         if not isinstance(group, FiniteGroup):
@@ -43,15 +55,25 @@ class Cochain:
                 "value table has length %d, expected %d"
                 % (len(values), group.order**degree)
             )
-        self.group = group
-        self.degree = degree
-        self.values = values
-        self._hash = None
-        self._scaled = None
+        L = lcm(*{v.denominator for v in values})
+        self._set(group, degree, L, tuple(v.numerator * (L // v.denominator) for v in values))
+        self._values = values
+
+    @classmethod
+    def _from_ints(cls, group, degree, L, ints):
+        """The cochain with values ints[i]/L, each int in 0..L-1, over its least L."""
+        g = gcd(L, *set(ints))
+        self = cls.__new__(cls)
+        self._set(group, degree, L // g, tuple([x // g for x in ints] if g > 1 else ints))
+        return self
+
+    def _set(self, group, degree, L, ints):
+        self.group, self.degree, self.L, self.ints = group, degree, L, ints
+        self._values = self._hash = self._closed = self._normalized = None
 
     @classmethod
     def zero(cls, group, degree):
-        return cls(group, degree, [QZ(0)] * group.order**degree)
+        return cls._from_ints(group, degree, 1, (0,) * group.order**degree)
 
     @classmethod
     def from_function(cls, group, degree, fn):
@@ -62,6 +84,15 @@ class Cochain:
             vals.append(fn(*args))
         return cls(group, degree, vals)
 
+    @property
+    def values(self):
+        """The values as a tuple of QZ, one per flat index."""
+        if self._values is None:
+            L = self.L
+            qz = {x: QZ(x, L) for x in set(self.ints)}
+            self._values = tuple(map(qz.__getitem__, self.ints))
+        return self._values
+
     def __call__(self, *args):
         if len(args) != self.degree:
             raise KleinformError(
@@ -70,6 +101,8 @@ class Cochain:
         n = self.group.order
         idx = 0
         for a in args:
+            if not 0 <= a < n:
+                raise KleinformError("cochain argument %r outside 0..%d" % (a, n - 1))
             idx = idx * n + a
         return self.values[idx]
 
@@ -77,13 +110,14 @@ class Cochain:
         return (
             isinstance(other, Cochain)
             and self.degree == other.degree
+            and self.L == other.L
+            and self.ints == other.ints
             and self.group == other.group
-            and self.values == other.values
         )
 
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash((self.group, self.degree, self.values))
+            self._hash = hash((self.group, self.degree, self.L, self.ints))
         return self._hash
 
     def __repr__(self):
@@ -99,79 +133,54 @@ def _unflatten(flat, n, degree):
 
 
 def _scaled_table(c):
-    """Common denominator L and the integer value table of c times L, kept on c."""
-    if c._scaled is None:
-        denom = 1
-        for v in c.values:
-            denom = lcm(denom, v.denominator)
-        c._scaled = denom, tuple(v.numerator * (denom // v.denominator) for v in c.values)
-    return c._scaled
+    """Common denominator L and the integer value table of c times L."""
+    return c.L, c.ints
 
 
-def _diff_int_table(c):
-    """Integer table (scaled by L) of the differential of c, plus L itself."""
-    n = c.group.order
-    mul = [list(row) for row in c.group.table]
-    L, tab = _scaled_table(c)
-    k = c.degree
-    out = []
+def _diff_rows(c):
+    """The integer table of dc over c's L, reduced mod L, in consecutive runs.
+
+    Each run fixes the first two arguments of dc (the first, for degrees 0
+    and 1) and lists the rest in flat order.
+    """
+    n, k, L, tab = c.group.order, c.degree, c.L, c.ints
+    mul, r = c.group.table, range(n)
     if k == 0:
-        out = [0] * n
+        yield [0] * n
     elif k == 1:
-        for a in range(n):
-            ma = mul[a]
-            ta = tab[a]
-            for b in range(n):
-                out.append(ta + tab[b] - tab[ma[b]])
+        for a in r:
+            v = tab[a]
+            yield [(v + y - tab[e]) % L for y, e in zip(tab, mul[a])]
     elif k == 2:
-        for a in range(n):
-            ma = mul[a]
-            an = a * n
-            for b in range(n):
-                ab = ma[b]
-                mb = mul[b]
-                v_ab = tab[an + b]
-                abn = ab * n
-                bn = b * n
-                for cc in range(n):
-                    out.append(v_ab + tab[abn + cc] - tab[an + mb[cc]] - tab[bn + cc])
+        for a in r:
+            row_a = tab[a * n:a * n + n]
+            for b in r:
+                v, ab = row_a[b], mul[a][b] * n
+                yield [(v + y - row_a[e] - z) % L
+                       for y, e, z in zip(tab[ab:ab + n], mul[b], tab[b * n:b * n + n])]
     elif k == 3:
         n2 = n * n
-        for a in range(n):
-            ma = mul[a]
-            an2 = a * n2
-            for b in range(n):
-                ab = ma[b]
-                mb = mul[b]
-                bn2 = b * n2
-                abn2 = ab * n2
-                abase = an2 + b * n
-                for cc in range(n):
-                    bc = mb[cc]
-                    mc = mul[cc]
-                    v_bcd_base = bn2 + cc * n
-                    v_abcd_base = abn2 + cc * n
-                    v_a_bc_base = an2 + bc * n
-                    v_abc = tab[abase + cc]
-                    for d in range(n):
-                        out.append(
-                            tab[v_bcd_base + d]
-                            - tab[v_abcd_base + d]
-                            + tab[v_a_bc_base + d]
-                            - tab[abase + mc[d]]
-                            + v_abc
-                        )
+        blocks = [tab[i:i + n2] for i in range(0, n * n2, n2)]
+        products = [e for row in mul for e in row]  # cc*d at the flat place of (cc, d)
+        thirds = [cc for cc in r for _ in r]
+        for a in r:
+            rows_a = [blocks[a][i:i + n] for i in range(0, n2, n)]
+            for b in r:
+                row_ab = rows_a[b]
+                # runs over (cc, d): c(b, cc, d), c(ab, cc, d) and c(a, bc, d)
+                yield [(x - y + z - row_ab[e] + row_ab[cc]) % L for x, y, z, e, cc in
+                       zip(blocks[b], blocks[mul[a][b]],
+                           chain.from_iterable(map(rows_a.__getitem__, mul[b])),
+                           products, thirds)]
     else:
         raise KleinformError("differential is undefined above degree 3")
-    return L, out
 
 
 def differential(c):
     """The coboundary dc, one degree up.  Defined for degrees 0 through 3."""
     if c.degree >= MAX_DEGREE:
         raise KleinformError("differential is undefined above degree 3")
-    L, out = _diff_int_table(c)
-    return Cochain(c.group, c.degree + 1, [QZ(v, L) for v in out])
+    return Cochain._from_ints(c.group, c.degree + 1, c.L, list(chain.from_iterable(_diff_rows(c))))
 
 
 class CochainReport:
@@ -187,26 +196,35 @@ class CochainReport:
         return "CochainReport(closed=%r, normalized=%r)" % (self.closed, self.normalized)
 
 
-# Cochains are immutable, and closedness is rechecked on entry to every
-# pairing routine, so both predicates cache on the cochain itself.
-@lru_cache(maxsize=1024)
 def is_closed(c):
-    """True when dc = 0.  Only meaningful for degrees 0..3."""
-    L, out = _diff_int_table(c)
-    return all(v % L == 0 for v in out)
+    """True when dc = 0.  Only meaningful for degrees 0..3.
+
+    Reads the differential row by row over the integer table and stops at
+    the first row with an entry not divisible by L.  Cochains are immutable
+    and closedness is rechecked on entry to every pairing routine, so the
+    result is kept on c.
+    """
+    if c._closed is None:
+        c._closed = not any(map(any, _diff_rows(c)))
+    return c._closed
 
 
-@lru_cache(maxsize=1024)
 def is_normalized(c):
-    """True when c vanishes whenever any argument is the identity."""
-    n = c.group.order
-    k = c.degree
-    if k == 0:
-        return True
-    for flat, v in enumerate(c.values):
-        if v and 0 in _unflatten(flat, n, k):
-            return False
-    return True
+    """True when c vanishes whenever any argument is the identity.
+
+    Only those entries are read: with argument i (the first is 0) set to
+    the identity they form runs of n**(k-1-i) consecutive flat indices,
+    one run every n**(k-i), so k*n**(k-1) entries in all.  The result is
+    kept on c.
+    """
+    if c._normalized is None:
+        n, k, tab = c.group.order, c.degree, c.ints
+        c._normalized = not any(
+            any(tab[start:start + run])
+            for run in (n**j for j in range(k))
+            for start in range(0, n**k, run * n)
+        )
+    return c._normalized
 
 
 def validate_cochain(c):
@@ -222,27 +240,21 @@ def alpha_cyclic(n, level):
     """
     if n < 1:
         raise KleinformError("alpha_cyclic needs n >= 1")
-    g = cyclic(n)
-    vals = []
-    for j in range(n):
-        for k in range(n):
-            for l in range(n):
-                if k + l >= n:
-                    vals.append(QZ(level * j, n))
-                else:
-                    vals.append(QZ(0))
-    return Cochain(g, 3, vals)
+    r = range(n)
+    return Cochain._from_ints(
+        cyclic(n), 3, n, [level * j % n if k + l >= n else 0 for j in r for k in r for l in r]
+    )
 
 
 def pullback_cochain(c, hom):
     """The pullback of c along hom; hom must land in the group of c."""
     if hom.target != c.group:
         raise KleinformError("pullback needs hom.target equal to the cochain's group")
-    src = hom.source
-    k = c.degree
-    return Cochain.from_function(
-        src, k, lambda *args: c(*(hom(a) for a in args))
-    )
+    m, images, tab = c.group.order, hom.images, c.ints
+    flat = [0]
+    for _ in range(c.degree):
+        flat = [i * m + y for i in flat for y in images]
+    return Cochain._from_ints(hom.source, c.degree, c.L, [tab[i] for i in flat])
 
 
 def coboundary_solve(c):
@@ -314,6 +326,10 @@ def parse_cochain_text(text):
         raise KleinformError("cochain degree must lie in 0..%d" % MAX_DEGREE)
     group = parse_group_spec(spec)
     n = group.order
+    if n**degree > MAX_ORDER**3:
+        raise KleinformError(
+            "cochain table of %d entries exceeds the cap %d" % (n**degree, MAX_ORDER**3)
+        )
     vals = [QZ(0)] * (n**degree)
     for ln in lines[1:]:
         parts = ln.split()

@@ -24,6 +24,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm
 
+from .cochains import _scaled_table
 from .errors import CertificateError, KleinformError, WindowError
 from .groups import closure, cyclic_generator
 from .intmat import solve_sparse
@@ -193,13 +194,12 @@ def _certify(lift):
         for b in pts:
             vals[(a, b)] = fn(a, b)
 
-    denom = 1
+    la, ia = _scaled_table(alpha)
+    denom = la
     for v in vals.values():
         denom = lcm(denom, v.denominator)
-    for v in alpha.values:
-        denom = lcm(denom, v.denominator)
     iv = {k: v.numerator * (denom // v.denominator) for k, v in vals.items()}
-    ia = [v.numerator * (denom // v.denominator) for v in alpha.values]
+    ia = [x * (denom // la) for x in ia]
 
     n = rep.group.order
     rho = {pt: rep.image(pt[0], pt[1]) for pt in pts}

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from .errors import ValidationError
+
 
 class QZ:
     """A rational residue mod 1, stored as the reduced representative in [0, 1)."""
@@ -20,6 +22,8 @@ class QZ:
     def __init__(self, numerator=0, denominator=None):
         if isinstance(numerator, QZ):
             frac = numerator._frac
+        elif isinstance(numerator, float) or isinstance(denominator, float):
+            raise ValidationError("QZ takes exact numbers, not a float")
         elif denominator is None:
             frac = Fraction(numerator)
         else:

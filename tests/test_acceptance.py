@@ -16,7 +16,10 @@ from kleinform.cochains import (
     Cochain,
     alpha_cyclic,
     coboundary_solve,
+    _unflatten,
     differential,
+    is_closed,
+    is_normalized,
     pullback_cochain,
     validate_cochain,
 )
@@ -119,13 +122,13 @@ def _pulled_back_levels(grp):
     alphas = [Cochain.zero(grp, 3)]
     if exponent == 1:
         return alphas
-    seen = {alphas[0].values}
+    seen = {alphas[0]}
     target = cyclic(exponent)
     for hom in all_homs(grp, target):
         for level in range(1, exponent + 1):
             pulled = pullback_cochain(alpha_cyclic(exponent, level), hom)
-            if pulled.values not in seen:
-                seen.add(pulled.values)
+            if pulled not in seen:
+                seen.add(pulled)
                 alphas.append(pulled)
     return alphas
 
@@ -184,6 +187,29 @@ def test_alpha_family_cocycle_validity():
                 assert differential(witness) == alpha_cyclic(n, level)
             else:
                 assert witness is None
+
+
+def test_integer_cochains_match_qz_reference():
+    """The integer-table cochain agrees with the QZ-table definitions: its
+    construction from values, the pullback, closedness (every entry of the
+    full differential is zero) and normalization (zero at every flat index
+    whose unflattened arguments include the identity)."""
+    for grp in _small_groups():
+        n = grp.order
+        with_identity = [flat for flat in range(n**3) if 0 in _unflatten(flat, n, 3)]
+        exponent = 1
+        for g in grp.elements:
+            exponent = lcm(exponent, grp.order_of(g))
+        for alpha in _pulled_back_levels(grp):
+            values = alpha.values
+            rebuilt = Cochain(grp, 3, list(values))
+            assert rebuilt == alpha and hash(rebuilt) == hash(alpha)
+            assert is_closed(alpha) == (not any(differential(alpha).ints))
+            assert is_normalized(alpha) == (not any(values[f] for f in with_identity))
+        level = alpha_cyclic(exponent, 1 + n % exponent)
+        for hom in all_homs(grp, cyclic(exponent)):
+            assert pullback_cochain(level, hom) == Cochain.from_function(
+                grp, 3, lambda a, b, c: level(hom(a), hom(b), hom(c)))
 
 
 def test_lift_certificates_and_route_agreement():

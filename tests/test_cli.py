@@ -118,6 +118,18 @@ def test_group_order_cap_fails_fast(tmp_path, capsys):
     assert (rc, out, err) == (0, "closed: yes\nnormalized: yes\n", "")
 
 
+def test_cochain_table_cap_fails_fast(tmp_path, capsys):
+    # 48**4 entries are refused before any table is built
+    path = tmp_path / "wide.cochain"
+    path.write_text("group cyclic:48 degree 4\n")
+    start = time.perf_counter()
+    rc, out, err = run(capsys, ["verify-alpha", "--group", "cyclic:48",
+                                "--level", "file:%s" % path])
+    assert time.perf_counter() - start < 1
+    assert (rc, out) == (1, "")
+    assert err.startswith("error:") and "exceeds the cap" in err
+
+
 def test_character_plain_and_csv(capsys):
     argv = ["character", "--group", "cyclic:2", "--level", "1",
             "--rep", "1,0", "--matrix", "1,2,0,1"]

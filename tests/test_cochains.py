@@ -1,5 +1,6 @@
 import os
 import random
+import sys
 import tracemalloc
 
 import pytest
@@ -17,7 +18,8 @@ from kleinform.cochains import (
     validate_cochain,
 )
 from kleinform.errors import KleinformError, ValidationError
-from kleinform.groups import GroupHom, cyclic, klein4, symmetric3
+from kleinform.groups import GroupHom, cyclic, direct_product, klein4, symmetric3
+from kleinform.moduli import SL2Z, TorusRep, r_diff
 from kleinform.qz import QZ
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
@@ -37,10 +39,19 @@ def test_construction_validation():
         Cochain(z2, 5, [QZ(0)] * 32)
     with pytest.raises(ValidationError):
         Cochain("not a group", 1, [QZ(0)])
+    with pytest.raises(ValidationError):
+        Cochain(z2, 1, [0, 0.5])
     c = Cochain(z2, 1, [0, QZ(1, 2)])
     assert c(1) == QZ(1, 2)
     with pytest.raises(KleinformError):
         c(1, 1)
+
+
+def test_call_rejects_arguments_outside_the_group():
+    a = alpha_cyclic(4, 1)
+    for args in ((0, 0, 4), (0, 0, -1)):
+        with pytest.raises(KleinformError, match="outside 0..3"):
+            a(*args)
 
 
 def test_zero_and_from_function():
@@ -79,23 +90,27 @@ def test_differential_degree_two_by_hand():
                 assert dc(a, b, cc) == want
 
 
+def _differential_three_by_hand(c, a, b, cc, d):
+    g = c.group
+    return (
+        c(b, cc, d)
+        - c(g.mul(a, b), cc, d)
+        + c(a, g.mul(b, cc), d)
+        - c(a, b, g.mul(cc, d))
+        + c(a, b, cc)
+    )
+
+
 def test_differential_degree_three_by_hand():
-    z2 = cyclic(2)
     rnd = random.Random(11)
-    c = _random_cochain(rnd, z2, 3)
-    dc = differential(c)
-    for a in z2.elements:
-        for b in z2.elements:
-            for cc in z2.elements:
-                for d in z2.elements:
-                    want = (
-                        c(b, cc, d)
-                        - c(z2.mul(a, b), cc, d)
-                        + c(a, z2.mul(b, cc), d)
-                        - c(a, b, z2.mul(cc, d))
-                        + c(a, b, cc)
-                    )
-                    assert dc(a, b, cc, d) == want
+    for group in (cyclic(2), symmetric3()):
+        c = _random_cochain(rnd, group, 3)
+        dc = differential(c)
+        for a in group.elements:
+            for b in group.elements:
+                for cc in group.elements:
+                    for d in group.elements:
+                        assert dc(a, b, cc, d) == _differential_three_by_hand(c, a, b, cc, d)
 
 
 def test_d_of_d_is_zero():
@@ -128,6 +143,14 @@ def test_alpha_cyclic_values():
         alpha_cyclic(0, 1)
 
 
+def test_alpha_cyclic_matches_its_formula():
+    for n in range(1, 13):
+        for level in range(2 * n + 1):
+            want = Cochain.from_function(
+                cyclic(n), 3, lambda j, k, l: QZ(level * j, n) if k + l >= n else QZ(0))
+            assert alpha_cyclic(n, level) == want
+
+
 def test_alpha_cyclic_closed_and_normalized():
     for n in (1, 2, 3, 4, 5, 6):
         for level in range(n + 1):
@@ -156,6 +179,65 @@ def test_pullback():
     assert p(4, 5, 5) == a(1, 2, 2)
     with pytest.raises(KleinformError):
         pullback_cochain(a, GroupHom(z6, cyclic(2), [x % 2 for x in range(6)]))
+
+
+def _cup_alpha_v8():
+    # the product cocycle x1*y2*z3/2 on (Z/2)^3
+    v8 = direct_product(direct_product(cyclic(2), cyclic(2)), cyclic(2))
+    return v8, Cochain.from_function(
+        v8, 3, lambda a, b, c: QZ(((a >> 2) & 1) * ((b >> 1) & 1) * (c & 1), 2))
+
+
+def test_is_closed_agrees_with_full_differential_on_perturbations():
+    # one entry of a closed cocycle moved at the first, the last and random
+    # flat indices; is_closed stops early, the oracles read every entry
+    rnd = random.Random(23)
+    cube = load_cochain_file(os.path.join(DATA, "s3_cubetwist.cochain"))
+    closed = []
+    for group, alpha in ((cube.group, cube), _cup_alpha_v8()):
+        assert is_closed(alpha)
+        size = len(alpha.values)
+        for flat in [0, size - 1] + [rnd.randrange(size) for _ in range(6)]:
+            values = list(alpha.values)
+            values[flat] += QZ(rnd.randrange(1, 6), 6)
+            bumped = Cochain(group, 3, values)
+            by_hand = all(
+                not _differential_three_by_hand(bumped, a, b, cc, d)
+                for a in group.elements for b in group.elements
+                for cc in group.elements for d in group.elements)
+            assert is_closed(bumped) == by_hand == all(
+                not v for v in differential(bumped).values)
+            closed.append(by_hand)
+    assert not all(closed)
+
+
+def test_validation_keeps_no_reference_to_the_cochain():
+    # a table no other test builds, so no earlier call can have seen it
+    c = _random_cochain(random.Random(31), klein4(), 3)
+    before = sys.getrefcount(c)
+    report = validate_cochain(c)
+    assert not report.closed and not report.normalized
+    assert sys.getrefcount(c) == before
+
+
+def test_integer_route_builds_no_qz(monkeypatch):
+    made = []
+    init = QZ.__init__
+
+    def counted(self, *args):
+        made.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(QZ, "__init__", counted)
+    z12 = cyclic(12)
+    alpha = alpha_cyclic(12, 5)
+    pulled = pullback_cochain(alpha, GroupHom(z12, z12, [5 * x % 12 for x in range(12)]))
+    for c in (alpha, pulled):
+        report = validate_cochain(c)
+        assert report.closed and report.normalized
+    value = r_diff(TorusRep(z12, 1, 0), pulled, SL2Z(1, 12, 0, 1))
+    assert len(made) == 1
+    assert value == QZ(*made[0])
 
 
 def test_coboundary_solve_degree_two():
@@ -233,6 +315,21 @@ def test_parse_cochain_text_rejects_degree_before_allocating():
         finally:
             tracemalloc.stop()
         assert peak < 10**6
+
+
+def test_parse_cochain_text_caps_table_size():
+    # 48**4 = 5,308,416 entries are refused before the table is allocated;
+    # 48**3 is the cap itself and still parses
+    tracemalloc.start()
+    try:
+        with pytest.raises(KleinformError, match="exceeds the cap 110592"):
+            parse_cochain_text("group cyclic:48 degree 4\n")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10**6
+    c = parse_cochain_text("group cyclic:48 degree 3\n1 47 1 1/48\n")
+    assert c(1, 47, 1) == QZ(1, 48) and c(1, 1, 47) == QZ(0)
 
 
 def test_round_trip_through_text():

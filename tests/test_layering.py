@@ -1,7 +1,9 @@
 """The lift module is the tests' reference route, not a production layer.
 
 Only the package root imports kleinform.lifts; every other module reads
-its quantities from alpha, and TorusRep lives in moduli.
+its quantities from alpha, and TorusRep lives in moduli.  No module uses
+functools.lru_cache or functools.cache: results such as a cochain's
+validation flags stay on the object, and caches stay explicit and bounded.
 """
 
 import ast
@@ -49,3 +51,33 @@ def test_only_package_root_imports_lifts():
 def test_torus_rep_lives_in_moduli():
     assert lifts.TorusRep is moduli.TorusRep
     assert kleinform.TorusRep is moduli.TorusRep
+
+
+def _functools_caches(source):
+    """Uses of functools.lru_cache or functools.cache, however imported."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.module == "functools":
+            found += [a.name for a in node.names if a.name in ("lru_cache", "cache")]
+        elif (isinstance(node, ast.Attribute) and node.attr in ("lru_cache", "cache")
+              and isinstance(node.value, ast.Name) and node.value.id == "functools"):
+            found.append(node.attr)
+    return found
+
+
+def test_cache_detector_sees_every_spelling():
+    for source in ("from functools import lru_cache", "from functools import cache",
+                   "import functools\n@functools.lru_cache(maxsize=8)\ndef f(x):\n    pass\n",
+                   "import functools\ng = functools.cache(len)\n"):
+        assert _functools_caches(source)
+    assert not _functools_caches("from functools import reduce\ncache = {}\n")
+
+
+def test_no_module_uses_functools_caches():
+    users = []
+    for name in sorted(os.listdir(SRC)):
+        if name.endswith(".py"):
+            with open(os.path.join(SRC, name), encoding="utf-8") as fh:
+                if _functools_caches(fh.read()):
+                    users.append(name)
+    assert users == []

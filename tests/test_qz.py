@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from kleinform.errors import ValidationError
 from kleinform.qz import QZ, ZERO, halve
 
 
@@ -52,6 +53,12 @@ def test_int_multiplication_only():
         QZ(1, 2) * QZ(1, 2)
     with pytest.raises(TypeError):
         QZ(1, 2) * 0.5
+
+
+def test_floats_rejected():
+    for args in ((0.1,), (0.5, 2), (1, 2.0), (float("nan"),)):
+        with pytest.raises(ValidationError, match="float"):
+            QZ(*args)
 
 
 def test_zero_denominator_rejected():
