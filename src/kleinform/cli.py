@@ -11,87 +11,24 @@ import sys
 
 from .cochains import Cochain, alpha_cyclic, load_cochain_file, validate_cochain
 from .errors import KleinformError
-from .groupoid_lines import GroupoidCocycle, load_groupoid_file, sections_dim_groupoid, validate_groupoid_cocycle
+from .groupoid_lines import (GroupoidCocycle, load_groupoid_file, sections_dim_groupoid,
+                             validate_groupoid_cocycle)
 from .groups import cyclic, parse_group_spec
-from .moduli import SL2Z, TorusRep, dehn_character, enumerate_bundles, klein_character, r_diff, sections_dimension, torus_orbits
-from .qz import QZ
+from .moduli import (SL2Z, TorusRep, dehn_character, enumerate_bundles, klein_character, r_diff,
+                     sections_dimension, torus_orbits)
 
 
-def _parse_matrix(text):
-    parts = text.split(",")
-    if len(parts) != 4:
-        raise argparse.ArgumentTypeError("expected four comma-separated integers")
-    try:
-        a, b, c, d = (int(p) for p in parts)
-    except ValueError:
-        raise argparse.ArgumentTypeError("expected four comma-separated integers")
-    return (a, b, c, d)
-
-
-def _parse_rep(text):
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise argparse.ArgumentTypeError("expected two comma-separated element indices")
-    try:
-        g, h = (int(p) for p in parts)
-    except ValueError:
-        raise argparse.ArgumentTypeError("expected two comma-separated element indices")
-    return (g, h)
-
-
-def build_parser():
-    parser = argparse.ArgumentParser(
-        prog="kleinform",
-        description="exact cocycle, lift, and character computations for finite groups")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_format(p):
-        p.add_argument("--format", choices=("plain", "csv"), default="plain",
-                       help="output format (default plain)")
-
-    p = sub.add_parser("verify-alpha", help="check a degree-3 cochain is closed and normalized")
-    p.add_argument("--group", required=True)
-    p.add_argument("--level", required=True)
-    add_format(p)
-
-    p = sub.add_parser("enumerate", help="list commuting tuples for a surface genus")
-    p.add_argument("--group", required=True)
-    p.add_argument("--genus", type=int, required=True)
-    add_format(p)
-
-    p = sub.add_parser("orbits", help="genus-1 conjugation orbits with stabilizers")
-    p.add_argument("--group", required=True)
-    add_format(p)
-
-    p = sub.add_parser("character", help="character value of a commuting pair at an SL2(Z) matrix")
-    p.add_argument("--group", required=True)
-    p.add_argument("--level", required=True)
-    p.add_argument("--rep", type=_parse_rep, required=True)
-    p.add_argument("--matrix", type=_parse_matrix, required=True)
-    add_format(p)
-
-    p = sub.add_parser("klein", help="closed-form character on Gamma1(n) for a cyclic group")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--level", type=int, required=True)
-    p.add_argument("--matrix", type=_parse_matrix, required=True)
-    add_format(p)
-
-    p = sub.add_parser("dehn", help="power-sum character of a group element")
-    p.add_argument("--group", required=True)
-    p.add_argument("--level", required=True)
-    p.add_argument("--elt", type=int, required=True)
-    add_format(p)
-
-    p = sub.add_parser("dim", help="count orbits with vanishing stabilizer character")
-    p.add_argument("--group", required=True)
-    p.add_argument("--level", required=True)
-    add_format(p)
-
-    p = sub.add_parser("groupoid-check", help="validate a groupoid cocycle file")
-    p.add_argument("--file", required=True)
-    add_format(p)
-
-    return parser
+def _int_tuple(count, message):
+    """An argparse type: count comma-separated integers, else message."""
+    def parse(text):
+        parts = text.split(",")
+        try:
+            if len(parts) == count:
+                return tuple(int(p) for p in parts)
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(message)
+    return parse
 
 
 def _resolve_level(group, spec):
@@ -118,130 +55,110 @@ def _resolve_level(group, spec):
     return alpha_cyclic(group.order, level)
 
 
-def _csv_writer():
-    return csv.writer(sys.stdout, lineterminator="\n")
+_BARE, _LABELLED, _RECORD = "bare", "labelled", "record"
+_YES = {True: "yes", False: "no"}
 
 
-def _emit_scalar(fmt, value):
+def _emit(fmt, header, rows, plain):
+    """Write a result to stdout: csv rows under header, or plain text.
+
+    rows is an iterable of lists of strings, read once.
+    The plain layouts, one or more lines per row: _BARE joins a row's
+    values with spaces; _LABELLED puts each value after its header name,
+    on one line; _RECORD writes "name: value" for each nonempty value.
+    """
     if fmt == "csv":
-        w = _csv_writer()
-        w.writerow(["value"])
-        w.writerow([str(value)])
-    else:
-        print(value)
-
-
-def _cmd_verify_alpha(args):
-    group = parse_group_spec(args.group)
-    alpha = _resolve_level(group, args.level)
-    report = validate_cochain(alpha)
-    yes = {True: "yes", False: "no"}
-    if args.format == "csv":
-        w = _csv_writer()
-        w.writerow(["closed", "normalized"])
-        w.writerow([yes[report.closed], yes[report.normalized]])
-    else:
-        print("closed: %s" % yes[report.closed])
-        print("normalized: %s" % yes[report.normalized])
-    return 0 if (report.closed and report.normalized) else 1
-
-
-def _cmd_enumerate(args):
-    group = parse_group_spec(args.group)
-    reps = enumerate_bundles(group, args.genus)
-    if args.format == "csv":
-        w = _csv_writer()
-        if args.genus == 1:
-            w.writerow(["e1", "e2"])
+        writer = csv.writer(sys.stdout, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+        return
+    for row in rows:
+        if plain == _BARE:
+            print(" ".join(row))
+        elif plain == _LABELLED:
+            print(" ".join("%s %s" % pair for pair in zip(header, row)))
         else:
-            header = []
-            for i in range(args.genus):
-                header.extend(["a%d" % (i + 1), "b%d" % (i + 1)])
-            w.writerow(header)
-        for rep in reps:
-            w.writerow([str(x) for x in rep.images])
+            for name, value in zip(header, row):
+                if value:
+                    print("%s: %s" % (name, value))
+
+
+# Each command maps the parsed arguments, with --group and --level already
+# resolved, to (exit code, header, rows, plain layout).
+
+def _scalar(value):
+    return 0, ["value"], [[str(value)]], _BARE
+
+
+def _verify_alpha(args):
+    report = validate_cochain(args.level)
+    row = [_YES[report.closed], _YES[report.normalized]]
+    return 0 if report.closed and report.normalized else 1, ["closed", "normalized"], [row], _RECORD
+
+
+def _enumerate(args):
+    reps = enumerate_bundles(args.group, args.genus)
+    if args.genus == 1:
+        header = ["e1", "e2"]
     else:
-        for rep in reps:
-            print(" ".join(str(x) for x in rep.images))
-    return 0
+        header = [x + str(i + 1) for i in range(args.genus) for x in "ab"]
+    return 0, header, ([str(x) for x in rep.images] for rep in reps), _BARE
 
 
-def _cmd_orbits(args):
-    rows = torus_orbits(parse_group_spec(args.group))
-    if args.format == "csv":
-        w = _csv_writer()
-        w.writerow(["rep", "orbit", "stab"])
-        for least, size, stab in rows:
-            w.writerow(["%d %d" % least, str(size), " ".join(str(z) for z in stab)])
-    else:
-        for least, size, stab in rows:
-            print("rep %d %d orbit %d stab %s"
-                  % (least[0], least[1], size, " ".join(str(z) for z in stab)))
-    return 0
+def _orbits(args):
+    rows = [["%d %d" % least, str(size), " ".join(str(z) for z in stab)]
+            for least, size, stab in torus_orbits(args.group)]
+    return 0, ["rep", "orbit", "stab"], rows, _LABELLED
 
 
-def _cmd_character(args):
-    group = parse_group_spec(args.group)
-    alpha = _resolve_level(group, args.level)
-    rep = TorusRep(group, args.rep[0], args.rep[1])
-    matrix = SL2Z(*args.matrix)
-    value = r_diff(rep, alpha, matrix)
-    _emit_scalar(args.format, value)
-    return 0
-
-
-def _cmd_klein(args):
-    value = klein_character(args.n, args.level, SL2Z(*args.matrix))
-    _emit_scalar(args.format, value)
-    return 0
-
-
-def _cmd_dehn(args):
-    group = parse_group_spec(args.group)
-    alpha = _resolve_level(group, args.level)
-    value = dehn_character(group, args.elt, alpha)
-    _emit_scalar(args.format, value)
-    return 0
-
-
-def _cmd_dim(args):
-    group = parse_group_spec(args.group)
-    alpha = _resolve_level(group, args.level)
-    _emit_scalar(args.format, sections_dimension(group, alpha))
-    return 0
-
-
-def _cmd_groupoid_check(args):
-    presentation, values = load_groupoid_file(args.file)
-    cocycle = GroupoidCocycle(presentation, values)
+def _groupoid_check(args):
+    cocycle = GroupoidCocycle(*load_groupoid_file(args.file))
     report = validate_groupoid_cocycle(cocycle)
-    if args.format == "csv":
-        w = _csv_writer()
-        w.writerow(["valid", "dim"])
-        if report.valid:
-            w.writerow(["yes", str(sections_dim_groupoid(cocycle))])
-        else:
-            w.writerow(["no", ""])
-    else:
-        print("valid: %s" % ("yes" if report.valid else "no"))
-        if report.valid:
-            print("dim: %d" % sections_dim_groupoid(cocycle))
-        else:
-            for violation in report.violations:
-                print("violation: %s" % violation)
-    return 0 if report.valid else 1
+    header = ["valid", "dim"]
+    row = [_YES[report.valid], str(sections_dim_groupoid(cocycle)) if report.valid else ""]
+    if args.format == "plain":  # violations are listed in plain text only
+        header += ["violation"] * len(report.violations)
+        row += report.violations
+    return 0 if report.valid else 1, header, [row], _RECORD
 
 
+_GROUP, _LEVEL = ("group", None), ("level", None)
+_REP = ("rep", _int_tuple(2, "expected two comma-separated element indices"))
+_MATRIX = ("matrix", _int_tuple(4, "expected four comma-separated integers"))
+
+# name: (help, required options as (name, argparse type), command)
 _COMMANDS = {
-    "verify-alpha": _cmd_verify_alpha,
-    "enumerate": _cmd_enumerate,
-    "orbits": _cmd_orbits,
-    "character": _cmd_character,
-    "klein": _cmd_klein,
-    "dehn": _cmd_dehn,
-    "dim": _cmd_dim,
-    "groupoid-check": _cmd_groupoid_check,
+    "verify-alpha": ("check a degree-3 cochain is closed and normalized",
+                     [_GROUP, _LEVEL], _verify_alpha),
+    "enumerate": ("list commuting tuples for a surface genus",
+                  [_GROUP, ("genus", int)], _enumerate),
+    "orbits": ("genus-1 conjugation orbits with stabilizers", [_GROUP], _orbits),
+    "character": ("character value of a commuting pair at an SL2(Z) matrix",
+                  [_GROUP, _LEVEL, _REP, _MATRIX],
+                  lambda a: _scalar(r_diff(TorusRep(a.group, *a.rep), a.level, SL2Z(*a.matrix)))),
+    "klein": ("closed-form character on Gamma1(n) for a cyclic group",
+              [("n", int), ("level", int), _MATRIX],
+              lambda a: _scalar(klein_character(a.n, a.level, SL2Z(*a.matrix)))),
+    "dehn": ("power-sum character of a group element", [_GROUP, _LEVEL, ("elt", int)],
+             lambda a: _scalar(dehn_character(a.group, a.elt, a.level))),
+    "dim": ("count orbits with vanishing stabilizer character", [_GROUP, _LEVEL],
+            lambda a: _scalar(sections_dimension(a.group, a.level))),
+    "groupoid-check": ("validate a groupoid cocycle file", [("file", None)], _groupoid_check),
 }
+
+
+def build_parser():
+    parser = argparse.ArgumentParser(
+        prog="kleinform",
+        description="exact cocycle, lift, and character computations for finite groups")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, options, _) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        for option, kind in options:
+            p.add_argument("--" + option, type=kind, required=True)
+        p.add_argument("--format", choices=("plain", "csv"), default="plain",
+                       help="output format (default plain)")
+    return parser
 
 
 def _bind_negative_values(argv):
@@ -264,10 +181,16 @@ def main(argv=None):
     argv = sys.argv[1:] if argv is None else list(argv)
     args = build_parser().parse_args(_bind_negative_values(argv))
     try:
-        return _COMMANDS[args.command](args)
+        if "group" in args:  # each command's group and level are parsed once, here
+            args.group = parse_group_spec(args.group)
+            if "level" in args:
+                args.level = _resolve_level(args.group, args.level)
+        code, header, rows, plain = _COMMANDS[args.command][2](args)
     except KleinformError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
+    _emit(args.format, header, rows, plain)
+    return code
 
 
 if __name__ == "__main__":

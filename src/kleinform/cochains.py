@@ -25,7 +25,7 @@ from itertools import chain
 from math import gcd, lcm
 
 from .errors import KleinformError, ValidationError
-from .groups import MAX_ORDER, FiniteGroup, cyclic
+from .groups import MAX_ORDER, FiniteGroup, cyclic, parse_group_spec, read_lines
 from .intmat import solve_sparse
 from .qz import QZ
 
@@ -101,7 +101,7 @@ class Cochain:
         n = self.group.order
         idx = 0
         for a in args:
-            if not 0 <= a < n:
+            if type(a) is not int or not 0 <= a < n:
                 raise KleinformError("cochain argument %r outside 0..%d" % (a, n - 1))
             idx = idx * n + a
         return self.values[idx]
@@ -130,11 +130,6 @@ def _unflatten(flat, n, degree):
         args.append(flat % n)
         flat //= n
     return tuple(reversed(args))
-
-
-def _scaled_table(c):
-    """Common denominator L and the integer value table of c times L."""
-    return c.L, c.ints
 
 
 def _diff_rows(c):
@@ -306,12 +301,17 @@ def parse_cochain_text(text):
     """Parse the cochain file format.
 
     First line: "group <spec> degree k"; every further line lists the k
-    argument indices and a value "p/q".  Omitted argument tuples are zero.
+    argument indices and a value "p/q".  Omitted argument tuples are zero,
+    and no tuple may be listed twice.
     """
-    from .groups import parse_group_spec
+    return _cochain_from_lines(read_lines("cochain", text))
 
-    lines = [ln.strip() for ln in text.splitlines()]
-    lines = [ln for ln in lines if ln and not ln.startswith("#")]
+
+def load_cochain_file(path):
+    return _cochain_from_lines(read_lines("cochain", path=path))
+
+
+def _cochain_from_lines(lines):
     if not lines:
         raise KleinformError("empty cochain file")
     head = lines[0].split()
@@ -330,7 +330,7 @@ def parse_cochain_text(text):
         raise KleinformError(
             "cochain table of %d entries exceeds the cap %d" % (n**degree, MAX_ORDER**3)
         )
-    vals = [QZ(0)] * (n**degree)
+    vals = {}
     for ln in lines[1:]:
         parts = ln.split()
         if len(parts) != degree + 1:
@@ -339,23 +339,16 @@ def parse_cochain_text(text):
             args = [int(p) for p in parts[:-1]]
         except ValueError:
             raise KleinformError("bad index in cochain line %r" % ln)
+        idx = 0
         for a in args:
             if not (0 <= a < n):
                 raise KleinformError("index %d outside the group in line %r" % (a, ln))
-        idx = 0
-        for a in args:
             idx = idx * n + a
+        if idx in vals:
+            raise KleinformError("cochain line repeats the arguments of an earlier line: %r" % ln)
         try:
             vals[idx] = QZ.from_str(parts[-1])
         except ValueError:
             raise KleinformError("bad value in cochain line %r" % ln)
-    return Cochain(group, degree, vals)
-
-
-def load_cochain_file(path):
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise KleinformError("cannot read cochain file %s: %s" % (path, exc))
-    return parse_cochain_text(text)
+    zero = QZ(0)
+    return Cochain(group, degree, [vals.get(i, zero) for i in range(n**degree)])

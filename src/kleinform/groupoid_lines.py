@@ -15,6 +15,7 @@ to the same checks.
 """
 
 from .errors import KleinformError, ValidationError
+from .groups import read_lines
 from .moduli import SL2Z
 from .qz import QZ
 
@@ -375,52 +376,48 @@ def parse_groupoid_text(text):
 
     Lines: ``objects n``, then ``mor src dst label`` per morphism, then
     ``comp f g h`` meaning f after g equals h, optionally ``val label p/q``
-    attaching cocycle values.  Blank lines and # comments are skipped.
+    attaching cocycle values.  Blank lines and # comments are skipped, and
+    a pair or a label may not be given a second comp or val line.
     Returns (presentation, values) where values is a dict over labels.
     """
+    return _groupoid_from_lines(read_lines("groupoid", text))
+
+
+def load_groupoid_file(path):
+    return _groupoid_from_lines(read_lines("groupoid", path=path))
+
+
+def _groupoid_from_lines(lines):
+    sizes = {"objects": 2, "mor": 4, "comp": 4, "val": 3}
     n = None
     mors = []
     comp = {}
     vals = {}
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for line in lines:
         tokens = line.split()
         head = tokens[0]
+        if head not in sizes:
+            raise KleinformError("unrecognized groupoid line: %r" % line)
+        if len(tokens) != sizes[head] or (head == "objects" and n is not None):
+            raise KleinformError("malformed %s line: %r" % (head, line))
         try:
             if head == "objects":
-                if n is not None or len(tokens) != 2:
-                    raise KleinformError("malformed objects line: %r" % raw)
                 n = int(tokens[1])
             elif head == "mor":
-                if len(tokens) != 4:
-                    raise KleinformError("malformed mor line: %r" % raw)
                 mors.append((int(tokens[1]), int(tokens[2]), tokens[3]))
             elif head == "comp":
-                if len(tokens) != 4:
-                    raise KleinformError("malformed comp line: %r" % raw)
+                if (tokens[1], tokens[2]) in comp:
+                    raise KleinformError("second comp line for one pair: %r" % line)
                 comp[(tokens[1], tokens[2])] = tokens[3]
-            elif head == "val":
-                if len(tokens) != 3:
-                    raise KleinformError("malformed val line: %r" % raw)
-                vals[tokens[1]] = QZ.from_str(tokens[2])
             else:
-                raise KleinformError("unrecognized groupoid line: %r" % raw)
+                if tokens[1] in vals:
+                    raise KleinformError("second val line for one label: %r" % line)
+                vals[tokens[1]] = QZ.from_str(tokens[2])
         except ValueError:
-            raise KleinformError("malformed groupoid line: %r" % raw)
+            raise KleinformError("malformed groupoid line: %r" % line)
     if n is None:
         raise KleinformError("groupoid text has no objects line")
     return FiniteGroupoidPresentation(n, mors, comp), vals
-
-
-def load_groupoid_file(path):
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise KleinformError("cannot read groupoid file %s: %s" % (path, exc))
-    return parse_groupoid_text(text)
 
 
 def sl2z_word_fragment(letters, max_length=6):

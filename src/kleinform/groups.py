@@ -378,17 +378,39 @@ def all_homs(source, target):
     return out
 
 
+def read_lines(kind, text=None, path=None):
+    """The lines of a kleinform input that carry data, as a list.
+
+    The input is text, or the UTF-8 file at path when text is None.  Each
+    line is cut at its first "#" and stripped, and blank results are
+    dropped.  A file that cannot be opened or decoded raises
+    KleinformError("cannot read <kind> file ...").
+    """
+    if text is None:
+        try:
+            with open(path, encoding="utf-8") as fh:
+                text = fh.read()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise KleinformError("cannot read %s file %s: %s" % (kind, path, exc))
+    lines = (raw.split("#", 1)[0].strip() for raw in text.splitlines())
+    return [ln for ln in lines if ln]
+
+
 def parse_group_text(text):
     """Parse the group file format: a line "order n", then n table rows."""
-    lines = [ln.strip() for ln in text.splitlines()]
-    lines = [ln for ln in lines if ln and not ln.startswith("#")]
-    if not lines or not lines[0].startswith("order"):
+    return _group_from_lines(read_lines("group", text))
+
+
+def load_group_file(path):
+    return _group_from_lines(read_lines("group", path=path))
+
+
+def _group_from_lines(lines):
+    head = lines[0].split() if lines else [None]
+    if head[0] != "order":
         raise KleinformError("group file must start with an 'order n' line")
-    parts = lines[0].split()
-    if len(parts) != 2:
-        raise KleinformError("malformed order line: %r" % lines[0])
     try:
-        n = int(parts[1])
+        (n,) = map(int, head[1:])
     except ValueError:
         raise KleinformError("malformed order line: %r" % lines[0])
     _check_order(n)
@@ -402,15 +424,6 @@ def parse_group_text(text):
             raise KleinformError("malformed table row: %r" % ln)
         table.append(row)
     return FiniteGroup(table)
-
-
-def load_group_file(path):
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise KleinformError("cannot read group file %s: %s" % (path, exc))
-    return parse_group_text(text)
 
 
 def parse_group_spec(spec):

@@ -24,7 +24,6 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm
 
-from .cochains import _scaled_table
 from .errors import CertificateError, KleinformError, WindowError
 from .groups import closure, cyclic_generator
 from .intmat import solve_sparse
@@ -194,12 +193,11 @@ def _certify(lift):
         for b in pts:
             vals[(a, b)] = fn(a, b)
 
-    la, ia = _scaled_table(alpha)
-    denom = la
+    denom = alpha.L
     for v in vals.values():
         denom = lcm(denom, v.denominator)
     iv = {k: v.numerator * (denom // v.denominator) for k, v in vals.items()}
-    ia = [x * (denom // la) for x in ia]
+    ia = [x * (denom // alpha.L) for x in alpha.ints]
 
     n = rep.group.order
     rho = {pt: rep.image(pt[0], pt[1]) for pt in pts}

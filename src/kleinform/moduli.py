@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from itertools import product
 
-from .cochains import Cochain, _scaled_table, is_closed, is_normalized
+from .cochains import Cochain, is_closed, is_normalized
 from .errors import KleinformError, ValidationError
 from .groups import centralizer
 from .qz import QZ
@@ -288,7 +288,7 @@ def r_diff(rep, alpha, matrix):
     _check_alpha_for(rep.group, alpha)
     grp = rep.group
     n = grp.order
-    L, tab = _scaled_table(alpha)
+    L, tab = alpha.L, alpha.ints
     g, h = rep.g, rep.h
     a, b, c, d = matrix.entries()
     acc = 0
@@ -374,8 +374,7 @@ def holonomy_cocycle_R(rep, alpha, z):
     z = int(z)
     if not (0 <= z < rep.group.order):
         raise KleinformError("conjugating element outside the group")
-    L, tab = _scaled_table(alpha)
-    return QZ(_holonomy_scaled(rep.group, tab, rep.g, rep.h, z), L)
+    return QZ(_holonomy_scaled(rep.group, alpha.ints, rep.g, rep.h, z), alpha.L)
 
 
 def sections_dimension(group, alpha):
@@ -386,7 +385,7 @@ def sections_dimension(group, alpha):
     the stabilizer; orbits where it vanishes throughout are counted.
     """
     _check_alpha_for(group, alpha)
-    L, tab = _scaled_table(alpha)
+    L, tab = alpha.L, alpha.ints
     return sum(
         all(_holonomy_scaled(group, tab, g, h, z) % L == 0 for z in stab)
         for (g, h), _, stab in torus_orbits(group)

@@ -337,3 +337,48 @@ def test_determinism(capsys):
     rc1, out1, err1 = run(capsys, argv)
     rc2, out2, err2 = run(capsys, argv)
     assert (rc1, out1, err1) == (rc2, out2, err2)
+
+
+def test_unreadable_files_fail_with_error_line(tmp_path, capsys):
+    # \xff\xfe starts no UTF-8 text; each loader reports it as an error line
+    for name, argv in (
+            ("g.group", ["dim", "--group", "file:%s", "--level", "0"]),
+            ("c.cochain", ["dim", "--group", "s3", "--level", "file:%s"]),
+            ("f.groupoid", ["groupoid-check", "--file", "%s"])):
+        path = tmp_path / name
+        path.write_bytes(b"\xff\xfe" + "order 1\n0\n".encode("utf-16-le"))
+        argv = [arg.replace("%s", str(path)) for arg in argv]
+        rc, out, err = run(capsys, argv)
+        kind = name.split(".")[1]
+        assert (rc, out) == (1, "")
+        assert err.startswith("error: cannot read %s file %s: " % (kind, path))
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_order_line_needs_the_word_order(tmp_path, capsys):
+    path = tmp_path / "z2.group"
+    path.write_text("orderly 2\n0 1\n1 0\n")
+    rc, out, err = run(capsys, ["dim", "--group", "file:%s" % path, "--level", "0"])
+    assert (rc, out, err) == (1, "", "error: group file must start with an 'order n' line\n")
+
+
+def test_cochain_file_rejects_repeated_arguments(tmp_path, capsys):
+    # the second line for (1, 1, 1) used to overwrite the first
+    path = tmp_path / "twice.cochain"
+    path.write_text("group cyclic:2 degree 3\n1 1 1 1/2\n1 1 1 0\n")
+    rc, out, err = run(capsys, ["verify-alpha", "--group", "cyclic:2",
+                                "--level", "file:%s" % path])
+    assert (rc, out) == (1, "")
+    assert err == ("error: cochain line repeats the arguments of an earlier line: "
+                   "'1 1 1 0'\n")
+
+
+def test_groupoid_file_rejects_repeated_comp_and_val(tmp_path, capsys):
+    with open(os.path.join(DATA, "flip.groupoid"), encoding="utf-8") as fh:
+        text = fh.read()
+    for extra, message in (("comp t t e\n", "second comp line for one pair: 'comp t t e'"),
+                           ("val t 1/2\n", "second val line for one label: 'val t 1/2'")):
+        path = tmp_path / "twice.groupoid"
+        path.write_text(text + extra)
+        rc, out, err = run(capsys, ["groupoid-check", "--file", str(path)])
+        assert (rc, out, err) == (1, "", "error: %s\n" % message)

@@ -49,7 +49,7 @@ def test_construction_validation():
 
 def test_call_rejects_arguments_outside_the_group():
     a = alpha_cyclic(4, 1)
-    for args in ((0, 0, 4), (0, 0, -1)):
+    for args in ((0, 0, 4), (0, 0, -1), (0, 0, True), (0, 0, 1.0), (0, 0, "1")):
         with pytest.raises(KleinformError, match="outside 0..3"):
             a(*args)
 
