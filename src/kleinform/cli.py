@@ -11,10 +11,10 @@ import sys
 
 from .cochains import Cochain, alpha_cyclic, load_cochain_file, validate_cochain
 from .errors import KleinformError
-from .groupoid_lines import (GroupoidCocycle, load_groupoid_file, sections_dim_groupoid,
+from .groupoid_lines import (GroupoidCocycle, _flat_components, load_groupoid_file,
                              validate_groupoid_cocycle)
 from .groups import cyclic, parse_group_spec
-from .moduli import (SL2Z, TorusRep, dehn_character, enumerate_bundles, klein_character, r_diff,
+from .moduli import (SL2Z, TorusRep, _bundle_images, dehn_character, klein_character, r_diff,
                      sections_dimension, torus_orbits)
 
 
@@ -97,12 +97,12 @@ def _verify_alpha(args):
 
 
 def _enumerate(args):
-    reps = enumerate_bundles(args.group, args.genus)
+    images = _bundle_images(args.group, args.genus)  # each datum is written as it is found
     if args.genus == 1:
         header = ["e1", "e2"]
     else:
         header = [x + str(i + 1) for i in range(args.genus) for x in "ab"]
-    return 0, header, ([str(x) for x in rep.images] for rep in reps), _BARE
+    return 0, header, (list(map(str, row)) for row in images), _BARE
 
 
 def _orbits(args):
@@ -115,7 +115,7 @@ def _groupoid_check(args):
     cocycle = GroupoidCocycle(*load_groupoid_file(args.file))
     report = validate_groupoid_cocycle(cocycle)
     header = ["valid", "dim"]
-    row = [_YES[report.valid], str(sections_dim_groupoid(cocycle)) if report.valid else ""]
+    row = [_YES[report.valid], str(_flat_components(cocycle)) if report.valid else ""]
     if args.format == "plain":  # violations are listed in plain text only
         header += ["violation"] * len(report.violations)
         row += report.violations

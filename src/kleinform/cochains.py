@@ -21,6 +21,7 @@ normalization are computed once and kept on the cochain.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from itertools import chain
 from math import gcd, lcm
 
@@ -266,7 +267,7 @@ def coboundary_solve(c):
     mul = c.group.table
     k = c.degree
     rows = []
-    rhs = list(c.values)
+    rhs = [Fraction(x, c.L) for x in c.ints]
     if k == 2:
         for a in range(n):
             for b in range(n):

@@ -219,6 +219,11 @@ def sections_dim_groupoid(cocycle):
     report = validate_groupoid_cocycle(cocycle)
     if not report.valid:
         raise KleinformError("invalid cocycle: %s" % report.violations[0])
+    return _flat_components(cocycle)
+
+
+def _flat_components(cocycle):
+    """sections_dim_groupoid of a cocycle already validated."""
     pres = cocycle.presentation
     bad = set()
     for s, d, label in pres.morphisms:
@@ -252,17 +257,13 @@ def cocycle_from_section(presentation, tau, transport):
     additive over every tabled composite.  tau assigns a unit phase to
     each object; the result is R(f) = transport(f) + tau(src) - tau(dst).
     """
-    t = {}
-    for _, _, label in presentation.morphisms:
-        t[label] = QZ(transport[label]) if label in transport else QZ(0)
+    t = GroupoidCocycle(presentation, {label: transport[label]
+                                       for _, _, label in presentation.morphisms
+                                       if label in transport})
     for (f, g), h in presentation.comp.items():
-        if t[f] + t[g] != t[h]:
+        if t(f) + t(g) != t(h):
             raise ValidationError("transport is not functorial at %r after %r" % (f, g))
-    tau = {x: QZ(tau[x]) for x in range(presentation.n_objects)}
-    vals = {}
-    for s, d, label in presentation.morphisms:
-        vals[label] = t[label] + tau[s] - tau[d]
-    return GroupoidCocycle(presentation, vals)
+    return shift_cocycle(t, tau)
 
 
 class GammaAction:

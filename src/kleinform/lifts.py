@@ -14,15 +14,19 @@ staircase closed formula when the image of rho is cyclic, and an exact
 linear solve over a finite window of the plane otherwise.  Every lift,
 however built, re-verifies its defining equation on all window triples
 before it is handed out; a failure there is a CertificateError and means a
-bug, never bad input.  No other module computes with these lifts: moduli
-reads every character from alpha, and the tests use this module as the
-reference route.
+bug, never bad input.  Alpha is read only from its integer table (alpha.L
+and alpha.ints), and lift values are Fractions in [0, 1).  No other module
+computes with these lifts: moduli reads every character from alpha, and
+the tests use this module as the reference route.  Its two caches, of
+lifts and of staircases with the window their certificate covers, are
+unbounded; only the tests fill them.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from itertools import accumulate, product
+from math import gcd, lcm
 
 from .errors import CertificateError, KleinformError, WindowError
 from .groups import closure, cyclic_generator
@@ -42,45 +46,42 @@ class _Staircase:
     p*x + q*y, the base lift is gamma0(a, b) = F(lam a, lam b) where
     F(m, z) sums alpha(k, k^j, k^z) for j from 0 to m-1 (negated partial
     sums for negative m).  F is periodic up to the full-period sum, so two
-    small tables cover every integer argument.
+    small tables cover every integer argument.  F sums integers over L,
+    the common denominator of alpha restricted to the image.
     """
 
-    __slots__ = ("nk", "p", "q", "pref", "period")
+    __slots__ = ("nk", "p", "q", "L", "pref", "period")
 
-    def __init__(self, nk, p, q, alpha_res):
-        # alpha_res: flat tuple of Fractions, alpha(k^i, k^j, k^l) at i*nk^2 + j*nk + l
-        self.nk = nk
-        self.p = p
-        self.q = q
-        nk2 = nk * nk
-        k_slot = (1 % nk) * nk2  # k itself; reduces to the identity when nk = 1
-        pref = []
-        period = []
-        for z in range(nk):
-            col = [Fraction(0)]
-            acc = Fraction(0)
-            for j in range(nk):
-                acc += alpha_res[k_slot + j * nk + z]  # alpha(k, k^j, k^z)
-                col.append(acc)
-            pref.append(col)
-            period.append(acc)
-        self.pref = pref
-        self.period = period
+    def __init__(self, nk, p, q, L, res):
+        # res: numerators over L, alpha(k^i, k^j, k^l) at i*nk^2 + j*nk + l
+        self.nk, self.p, self.q, self.L = nk, p, q, L
+        start = (1 % nk) * nk * nk  # k itself; reduces to the identity when nk = 1
+        k_slice = res[start:start + nk * nk]  # alpha(k, k^j, k^z) at j*nk + z
+        self.pref = [list(accumulate(k_slice[z::nk], initial=0)) for z in range(nk)]
+        self.period = [col[-1] for col in self.pref]
 
     def F(self, m, z):
         z %= self.nk
         return (m // self.nk) * self.period[z] + self.pref[z][m % self.nk]
 
-    def lam(self, pt):
-        return self.p * pt[0] + self.q * pt[1]
-
     def gamma0(self, a, b):
-        return self.F(self.lam(a), self.lam(b))
+        p, q = self.p, self.q
+        return Fraction(self.F(p * a[0] + q * a[1], p * b[0] + q * b[1]) % self.L, self.L)
 
 
-_STAIR_CACHE = {}
-_STAIR_CERTIFIED = {}  # staircase key -> largest window the certificate has covered
+_STAIR_CACHE = {}  # staircase key -> [staircase, lam0, largest window certified]
 _LIFT_CACHE = {}
+
+
+def _twisted(base, lam0):
+    """base plus the antisymmetric bilinear form lam0 * (x1*y2 - y1*x2); base if lam0 is 0."""
+    if not lam0:
+        return base
+
+    def fn(a, b):
+        return (base(a, b) + lam0 * (a[0] * b[1] - a[1] * b[0])) % 1
+
+    return fn
 
 
 class GammaLift:
@@ -123,15 +124,14 @@ class GammaLift:
     def shift_by(self, eta):
         """The lift shifted by the exact cochain d eta.
 
-        eta maps plane points to QZ (or Fraction); the shift adds
-        eta(a) + eta(b) - eta(a+b), which never moves the underlying
-        cohomology data.  eta must vanish at the origin or the certificate
-        will reject the result.
+        eta maps plane points to QZ (or any exact number QZ accepts); the
+        shift adds eta(a) + eta(b) - eta(a+b), which never moves the
+        underlying cohomology data.  eta must vanish at the origin or the
+        certificate will reject the result.
         """
 
         def ev(pt):
-            v = eta(pt)
-            return v.as_fraction() if isinstance(v, QZ) else Fraction(v)
+            return QZ(eta(pt)).as_fraction()
 
         base = self._fn
 
@@ -148,33 +148,42 @@ class GammaLift:
         This walks through the classes of lifts over the same cocycle
         without touching the defining equation.
         """
-        lam0 = lam0.as_fraction() if isinstance(lam0, QZ) else Fraction(lam0)
-        base = self._fn
-
-        def fn(a, b):
-            return (base(a, b) + lam0 * (a[0] * b[1] - a[1] * b[0])) % 1
-
-        return GammaLift(self.rep, self.alpha, self.window, self.mode, fn,
-                         normalized=False)
+        return GammaLift(self.rep, self.alpha, self.window, self.mode,
+                         _twisted(self._fn, QZ(lam0).as_fraction()), normalized=False)
 
     def __repr__(self):
         return "GammaLift(mode=%s, window=%d)" % (self.mode, self.window)
 
 
 def _window_points(w):
-    return [(x, y) for x in range(-w, w + 1) for y in range(-w, w + 1)]
+    return list(product(range(-w, w + 1), repeat=2))
 
 
-def _coord_triples(w):
-    out = []
-    for x1 in range(-w, w + 1):
-        for x2 in range(-w, w + 1):
-            if abs(x1 + x2) > w:
-                continue
-            for x3 in range(-w, w + 1):
-                if abs(x2 + x3) <= w:
-                    out.append((x1, x2, x3))
-    return out
+def _equations(rep, w):
+    """The defining equations of a lift over the window [-w, w]^2.
+
+    There is one per triple of window points a, b, c with a+b and b+c in
+    the window.  Each yields five integers: the places of the pairs
+    (a, b), (a+b, c), (a, b+c) and (b, c) in product(pts, pts), where
+    pts = _window_points(w), and the flat index of alpha(rho a, rho b,
+    rho c) in alpha.ints.  The four lift values enter with signs +, +, -, -.
+    """
+    side = 2 * w + 1
+    npts = side * side
+    n = rep.group.order
+    rho = [rep.image(x, y) for x, y in _window_points(w)]
+    # coordinates shifted by w into 0..2w, so point (x, y) sits at x*side + y
+    r = range(side)
+    triples = [(x1, x2, x3) for x1 in r for x2 in r for x3 in r
+               if 0 <= x1 + x2 - w < side and 0 <= x2 + x3 - w < side]
+    for x1, x2, x3 in triples:
+        xa, xb, xc = x1 * side, x2 * side, x3 * side
+        xab, xbc = (x1 + x2 - w) * side - w, (x2 + x3 - w) * side - w
+        for y1, y2, y3 in triples:
+            a, b, c = xa + y1, xb + y2, xc + y3
+            ab, bc = xab + y1 + y2, xbc + y2 + y3
+            yield (a * npts + b, ab * npts + c, a * npts + bc, b * npts + c,
+                   (rho[a] * n + rho[b]) * n + rho[c])
 
 
 def _certify(lift):
@@ -185,46 +194,28 @@ def _certify(lift):
     equality at (e1, e2) and (e2, e1).  Raises CertificateError on any
     mismatch; such a failure indicates an internal bug.
     """
-    rep, alpha, w = lift.rep, lift.alpha, lift.window
-    pts = _window_points(w)
-    fn = lift._fn
-    vals = {}
-    for a in pts:
-        for b in pts:
-            vals[(a, b)] = fn(a, b)
-
-    denom = alpha.L
-    for v in vals.values():
-        denom = lcm(denom, v.denominator)
-    iv = {k: v.numerator * (denom // v.denominator) for k, v in vals.items()}
+    alpha, pts = lift.alpha, _window_points(lift.window)
+    npts = len(pts)
+    vals = [lift._fn(a, b) for a, b in product(pts, repeat=2)]
+    denom = lcm(alpha.L, *{v.denominator for v in vals})
+    iv = [v.numerator * (denom // v.denominator) for v in vals]
     ia = [x * (denom // alpha.L) for x in alpha.ints]
 
-    n = rep.group.order
-    rho = {pt: rep.image(pt[0], pt[1]) for pt in pts}
-
-    origin = (0, 0)
-    for pt in pts:
-        if iv[(origin, pt)] % denom or iv[(pt, origin)] % denom:
+    origin = npts // 2
+    for i, pt in enumerate(pts):
+        if iv[origin * npts + i] % denom or iv[i * npts + origin] % denom:
             raise CertificateError("lift does not vanish against the origin at %r" % (pt,))
 
-    if lift.normalized and (iv[(E1, E2)] - iv[(E2, E1)]) % denom:
+    e1, e2 = pts.index(E1), pts.index(E2)
+    if lift.normalized and (iv[e1 * npts + e2] - iv[e2 * npts + e1]) % denom:
         raise CertificateError("lift is not symmetric at (e1, e2)")
 
-    triples = _coord_triples(w)
-    for xs in triples:
-        x1, x2, x3 = xs
-        for ys in triples:
-            a = (x1, ys[0])
-            b = (x2, ys[1])
-            c = (x3, ys[2])
-            ab = (x1 + x2, ys[0] + ys[1])
-            bc = (x2 + x3, ys[1] + ys[2])
-            lhs = iv[(a, b)] + iv[(ab, c)] - iv[(a, bc)] - iv[(b, c)]
-            rhs = ia[(rho[a] * n + rho[b]) * n + rho[c]]
-            if (lhs - rhs) % denom:
-                raise CertificateError(
-                    "coboundary identity fails at %r, %r, %r" % (a, b, c)
-                )
+    for ab, ab_c, a_bc, bc, flat in _equations(lift.rep, lift.window):
+        if (iv[ab] + iv[ab_c] - iv[a_bc] - iv[bc] - ia[flat]) % denom:
+            raise CertificateError(
+                "coboundary identity fails at %r, %r, %r"
+                % (pts[ab // npts], pts[ab % npts], pts[ab_c % npts])
+            )
 
 
 def has_cyclic_image(rep):
@@ -234,84 +225,61 @@ def has_cyclic_image(rep):
 
 
 def _staircase_for(rep, alpha):
-    """Staircase data and normalization for a cyclic-image rep, or None.
+    """The cache entry [staircase, lam0, certified window] of a rep, or None.
 
-    Results are cached on the mathematical content (cyclic order, discrete
-    logs, restricted alpha), so reps in different groups with matching
-    restrictions share everything, including certification: the defining
-    equation only ever sees alpha through its restriction to the image.
+    None means the image of the rep is not cyclic.  Entries are keyed on
+    the mathematical content (cyclic order, discrete logs, the restricted
+    alpha over its least common denominator), so reps in different groups
+    with matching restrictions share everything, including certification:
+    the defining equation only ever sees alpha through its restriction to
+    the image.
     """
     grp = rep.group
     sub = closure(grp, [rep.g, rep.h])
     k = cyclic_generator(grp, sub)
     if k is None:
         return None
-    nk = len(sub)
-    powers = [grp.power(k, i) for i in range(nk)]
-    dlog = {x: i for i, x in enumerate(powers)}
-    p, q = dlog[rep.g], dlog[rep.h]
-    res = []
-    for i in range(nk):
-        for j in range(nk):
-            for l in range(nk):
-                res.append(alpha(powers[i], powers[j], powers[l]).as_fraction())
-    key = (nk, p, q, tuple(res))
-    hit = _STAIR_CACHE.get(key)
-    if hit is not None:
-        return key, hit[0], hit[1]
-    stair = _Staircase(nk, p, q, res)
-    lam0 = QZ(stair.F(q, p) - stair.F(p, q)).halve().as_fraction()
-    _STAIR_CACHE[key] = (stair, lam0)
-    return key, stair, lam0
+    powers = [grp.power(k, i) for i in range(len(sub))]
+    n, tab = grp.order, alpha.ints
+    res = [tab[(i * n + j) * n + l] for i in powers for j in powers for l in powers]
+    g = gcd(alpha.L, *res)
+    key = (len(sub), powers.index(rep.g), powers.index(rep.h), alpha.L // g,
+           tuple([x // g for x in res]))
+    entry = _STAIR_CACHE.get(key)
+    if entry is None:
+        stair = _Staircase(*key)
+        L, p, q = stair.L, stair.p, stair.q
+        # lam0 is QZ.halve of F(q, p) - F(p, q): its residue in 0..L-1, over 2L
+        lam0 = Fraction((stair.F(q, p) - stair.F(p, q)) % L, 2 * L)
+        entry = _STAIR_CACHE[key] = [stair, lam0, 0]
+    return entry
 
 
 def _solve_window(rep, alpha, w):
-    """Table lift over [-w, w]^2 by the exact Q/Z solver."""
-    pts = _window_points(w)
+    """Table lift over [-w, w]^2 by the exact Q/Z solver, keyed by pairs of points."""
+    pairs = list(product(_window_points(w), repeat=2))
     origin = (0, 0)
-    unknowns = {}
-    for a in pts:
-        for b in pts:
-            if a != origin and b != origin:
-                unknowns[(a, b)] = len(unknowns)
-
-    def col(pair):
-        # pairs touching the origin are pinned to zero, not unknowns
-        return unknowns.get(pair)
-
-    n = rep.group.order
-    rho = {pt: rep.image(pt[0], pt[1]) for pt in pts}
-    rows = []
-    rhs = []
-    triples = _coord_triples(w)
-    for xs in triples:
-        x1, x2, x3 = xs
-        for ys in triples:
-            a = (x1, ys[0])
-            b = (x2, ys[1])
-            c = (x3, ys[2])
-            ab = (x1 + x2, ys[0] + ys[1])
-            bc = (x2 + x3, ys[1] + ys[2])
-            row = {}
-            for pair, coef in (((a, b), 1), ((ab, c), 1), ((a, bc), -1), ((b, c), -1)):
-                idx = col(pair)
-                if idx is not None:
-                    row[idx] = row.get(idx, 0) + coef
-            rows.append(row)
-            rhs.append(alpha(rho[a], rho[b], rho[c]))
-    result = solve_sparse(rows, len(unknowns), rhs)
+    # pairs touching the origin are pinned to zero, not unknowns
+    free = (i for i, pair in enumerate(pairs) if origin not in pair)
+    cols = {i: col for col, i in enumerate(free)}
+    rows, rhs = [], []
+    for *four, flat in _equations(rep, w):
+        row = {}
+        for i, coef in zip(four, (1, 1, -1, -1)):
+            if i in cols:
+                row[cols[i]] = row.get(cols[i], 0) + coef
+        rows.append(row)
+        rhs.append(Fraction(alpha.ints[flat], alpha.L))
+    result = solve_sparse(rows, len(cols), rhs)
     if not result.solvable:
         raise WindowError(
             "window solve infeasible at reduced row %d with residual %s; "
             "the system is solvable for every closed alpha, so this is a bug"
             % (result.row, result.residual)
         )
-    table = {}
-    for pair, idx in unknowns.items():
-        table[pair] = result.solution[idx].as_fraction()
-    for a in pts:
-        table[(origin, a)] = Fraction(0)
-        table[(a, origin)] = Fraction(0)
+    table = dict.fromkeys(pairs, Fraction(0))
+    for i, col in cols.items():
+        table[pairs[i]] = result.solution[col].as_fraction()
     return table
 
 
@@ -336,39 +304,21 @@ def lift_gamma(rep, alpha, window=None, method="auto"):
     if hit is not None:
         return hit
 
-    lift = None
-    if method in ("auto", "closed"):
-        data = _staircase_for(rep, alpha)
-        if data is None:
-            if method == "closed":
-                raise KleinformError("closed-form lift needs a cyclic image")
-        else:
-            key, stair, lam0 = data
-
-            def fn(a, b, stair=stair, lam0=lam0):
-                val = stair.gamma0(a, b)
-                if lam0:
-                    val += lam0 * (a[0] * b[1] - a[1] * b[0])
-                return val % 1
-
-            # identical staircase data has an identical certificate, so a
-            # window already covered for this key need not be re-verified
-            done = _STAIR_CERTIFIED.get(key, 0)
-            lift = GammaLift(rep, alpha, w, "closed", fn, normalized=True,
-                             _certified=done >= w)
-            if done < w:
-                _STAIR_CERTIFIED[key] = w
-    if lift is None:
+    entry = None if method == "window" else _staircase_for(rep, alpha)
+    if entry is not None:
+        stair, lam0, done = entry
+        # identical staircase data has an identical certificate, so a
+        # window already covered for this key need not be re-verified
+        lift = GammaLift(rep, alpha, w, "closed", _twisted(stair.gamma0, lam0),
+                         normalized=True, _certified=done >= w)
+        entry[2] = max(done, w)
+    elif method == "closed":
+        raise KleinformError("closed-form lift needs a cyclic image")
+    else:
         table = _solve_window(rep, alpha, w)
         lam0 = QZ(table[(E2, E1)] - table[(E1, E2)]).halve().as_fraction()
-
-        def fn(a, b, table=table, lam0=lam0):
-            val = table[(a, b)]
-            if lam0:
-                val += lam0 * (a[0] * b[1] - a[1] * b[0])
-            return val % 1
-
-        lift = GammaLift(rep, alpha, w, "window", fn, normalized=True)
+        lift = GammaLift(rep, alpha, w, "window",
+                         _twisted(lambda a, b: table[(a, b)], lam0), normalized=True)
 
     _LIFT_CACHE[cache_key] = lift
     return lift
@@ -413,7 +363,7 @@ def conjugate_lift(lift, z):
     if not (0 <= z < grp.order):
         raise KleinformError("conjugating element outside the group")
     rep2 = TorusRep(grp, grp.conj(z, rep.g), grp.conj(z, rep.h))
-    alpha = lift.alpha
+    n, L, tab = grp.order, lift.alpha.L, lift.alpha.ints
     base = lift._fn
 
     def fn(a, b):
@@ -422,11 +372,7 @@ def conjugate_lift(lift, z):
         v = rep.image(b[0], b[1])
         cu = grp.conj(z, u)
         cv = grp.conj(z, v)
-        corr = (
-            alpha(z, u, v).as_fraction()
-            + alpha(cu, cv, z).as_fraction()
-            - alpha(cu, z, v).as_fraction()
-        )
-        return (base(a, b) + corr) % 1
+        corr = tab[(z * n + u) * n + v] + tab[(cu * n + cv) * n + z] - tab[(cu * n + z) * n + v]
+        return (base(a, b) + Fraction(corr, L)) % 1
 
-    return GammaLift(rep2, alpha, lift.window, lift.mode, fn, normalized=False)
+    return GammaLift(rep2, lift.alpha, lift.window, lift.mode, fn, normalized=False)

@@ -151,11 +151,7 @@ class SurfaceRep:
         for v in images:
             if not (0 <= v < group.order):
                 raise ValidationError("image %d outside the group" % v)
-        acc = 0
-        for i in range(genus):
-            g, h = images[2 * i], images[2 * i + 1]
-            acc = group.mul(acc, group.commutator(g, h))
-        if acc != 0:
+        if _commutator_product(group, images) != 0:
             raise ValidationError("commutator product is not the identity")
         self.group = group
         self.genus = genus
@@ -176,31 +172,41 @@ class SurfaceRep:
         return "SurfaceRep(genus=%d, images=%r)" % (self.genus, self.images)
 
 
-def enumerate_bundles(group, genus):
-    """All genus-g bundle data over the group, in lexicographic image order."""
+def _commutator_product(group, images):
+    """The product [g1, h1] ... [gg, hg] of images (g1, h1, ..., gg, hg)."""
+    acc = 0
+    for i in range(0, len(images), 2):
+        acc = group.mul(acc, group.commutator(images[i], images[i + 1]))
+    return acc
+
+
+def _bundle_images(group, genus):
+    """The image tuples of enumerate_bundles, lazily, in the same order.
+
+    The size checks run at the call, before the first tuple is found: a
+    genus whose 2g images alone exceed ENUMERATION_CAP is refused, and so
+    is a count order**(2g) above it.  An order of 2 or more exceeds the
+    cap once 2g reaches the cap's bit length, so the power is taken with
+    the exponent cut there.
+    """
     if genus < 1:
         raise KleinformError("genus must be at least 1")
-    total = group.order ** (2 * genus)
-    if total > ENUMERATION_CAP:
+    n, width = group.order, 2 * genus
+    if width > ENUMERATION_CAP:
         raise KleinformError(
-            "enumeration size %d exceeds the cap %d" % (total, ENUMERATION_CAP)
+            "genus %d needs %d images per datum, over the cap %d" % (genus, width, ENUMERATION_CAP)
         )
-    out = []
-    if genus == 1:
-        # the constraint is plain commutativity; skip the generic filter
-        for g in group.elements:
-            for h in group.elements:
-                if group.commutes(g, h):
-                    out.append(SurfaceRep(group, 1, (g, h)))
-        return out
-    for images in product(group.elements, repeat=2 * genus):
-        acc = 0
-        for i in range(genus):
-            g, h = images[2 * i], images[2 * i + 1]
-            acc = group.mul(acc, group.commutator(g, h))
-        if acc == 0:
-            out.append(SurfaceRep(group, genus, images))
-    return out
+    if n ** min(width, ENUMERATION_CAP.bit_length()) > ENUMERATION_CAP:
+        raise KleinformError(
+            "enumeration size %d**%d exceeds the cap %d" % (n, width, ENUMERATION_CAP)
+        )
+    return (images for images in product(group.elements, repeat=width)
+            if _commutator_product(group, images) == 0)
+
+
+def enumerate_bundles(group, genus):
+    """All genus-g bundle data over the group, in lexicographic image order."""
+    return [SurfaceRep(group, genus, images) for images in _bundle_images(group, genus)]
 
 
 def orbit_stabilizer(srep):

@@ -1,8 +1,11 @@
 import os
+import sys
 import time
+import tracemalloc
 
 import pytest
 
+from kleinform import cli, groupoid_lines
 from kleinform.cli import main
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
@@ -202,6 +205,31 @@ def test_enumerate_csv_genus2_header(capsys):
     assert len(lines) == 17
 
 
+def test_enumerate_streams_each_datum(monkeypatch):
+    # 20,736 data at genus 2: each is written as it is found, none is held
+    with open(os.devnull, "w") as null:
+        monkeypatch.setattr(sys, "stdout", null)
+        tracemalloc.start()
+        try:
+            rc = main(["enumerate", "--group", "cyclic:12", "--genus", "2"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert rc == 0
+    assert peak < 1_000_000
+
+
+def test_enumerate_refuses_huge_genus_fast(capsys):
+    # 2g images per datum exceed the cap even where the count of data does not,
+    # and a count of 2**20000 is refused without being written out in digits
+    for spec, genus in (("cyclic:3", "30000000"), ("cyclic:1", "30000000"), ("cyclic:2", "10000")):
+        start = time.perf_counter()
+        rc, out, err = run(capsys, ["enumerate", "--group", spec, "--genus", genus])
+        assert time.perf_counter() - start < 1
+        assert (rc, out) == (1, "")
+        assert err.startswith("error:") and "cap" in err
+
+
 def test_orbits_plain(capsys):
     rc, out, err = run(capsys, ["orbits", "--group", "s3"])
     assert rc == 0
@@ -245,6 +273,21 @@ def test_groupoid_check_valid(capsys):
     rc, out, err = run(capsys, ["groupoid-check", "--file", path])
     assert rc == 0
     assert out == "valid: yes\ndim: 0\n"
+
+
+def test_groupoid_check_validates_once(capsys, monkeypatch):
+    calls = []
+    original = groupoid_lines.validate_groupoid_cocycle
+
+    def counted(cocycle):
+        calls.append(cocycle)
+        return original(cocycle)
+
+    monkeypatch.setattr(cli, "validate_groupoid_cocycle", counted)
+    monkeypatch.setattr(groupoid_lines, "validate_groupoid_cocycle", counted)
+    rc, out, err = run(capsys, ["groupoid-check", "--file", os.path.join(DATA, "flip.groupoid")])
+    assert (rc, out) == (0, "valid: yes\ndim: 0\n")
+    assert len(calls) == 1
 
 
 def test_groupoid_check_csv(capsys):

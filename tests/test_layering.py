@@ -3,7 +3,8 @@
 Only the package root imports kleinform.lifts; every other module reads
 its quantities from alpha, and TorusRep lives in moduli.  No module uses
 functools.lru_cache or functools.cache: results such as a cochain's
-validation flags stay on the object, and caches stay explicit and bounded.
+validation flags stay on the object, and caches are explicit module
+dicts (the two in lifts.py are unbounded, and only the tests fill them).
 Files are opened in one function only (groups.read_lines, which every
 parser reads through), and only cli.py prints or writes csv.
 """

@@ -2,7 +2,13 @@ import random
 
 import pytest
 
-from kleinform.cochains import Cochain, alpha_cyclic, pullback_cochain
+from kleinform.cochains import (
+    Cochain,
+    alpha_cyclic,
+    coboundary_solve,
+    differential,
+    pullback_cochain,
+)
 from kleinform.errors import (
     CertificateError,
     KleinformError,
@@ -181,6 +187,32 @@ def test_fast_and_window_routes_agree():
     slow = lift_gamma(rep, alpha, window=2, method="window")
     assert fast.mode == "closed" and slow.mode == "window"
     assert sigma_diff(fast, slow) == QZ(0)
+
+
+def test_shift_and_twist_refuse_floats():
+    lift = lift_gamma(TorusRep(cyclic(3), 1, 0), alpha_cyclic(3, 1))
+    with pytest.raises(ValidationError):
+        lift.twist(0.5)
+    with pytest.raises(ValidationError):
+        lift.shift_by(lambda pt: 0.0)
+
+
+def test_lifts_read_alpha_from_its_integer_table():
+    # fresh cochains that no other test lifts, so every route runs here; none
+    # of them may build alpha's QZ values
+    closed_alpha = alpha_cyclic(7, 3)
+    closed = lift_gamma(TorusRep(cyclic(7), 2, 3), closed_alpha)
+    v4 = klein4()
+    window_alpha = pullback_cochain(alpha_cyclic(2, 1), GroupHom(v4, cyclic(2), [0, 0, 1, 1]))
+    window = lift_gamma(TorusRep(v4, 1, 3), window_alpha, window=1)
+    assert (closed.mode, window.mode) == ("closed", "window")
+    for lift in (closed, window):
+        for z in (1, 2):
+            conjugate_lift(lift, z)
+    exact = differential(Cochain.from_function(cyclic(4), 2, lambda a, b: QZ(a * b, 4)))
+    assert differential(coboundary_solve(exact)) == exact
+    built = [alpha._values is not None for alpha in (closed_alpha, window_alpha, exact)]
+    assert built == [False, False, False]
 
 
 def test_shift_must_fix_origin():
