@@ -5,15 +5,19 @@ unknowns live in Q/Z.  Because Q/Z is divisible, an equation s*y = c with
 s != 0 always has the branch y = c/s; unsolvability can only surface on a
 row that elimination empties while its right-hand side stays nonzero.
 That emptied row, a row of the reduced form of M, is returned as the
-certificate.
+certificate.  Elimination runs in integers only: one Euclid kernel reduces
+each pivot column, and the right-hand sides are residues mod the lcm of
+their denominators; Fractions appear in back-substitution alone, and the
+final check of every row works over one common denominator.
 """
 
 from __future__ import annotations
 
 import heapq
 from fractions import Fraction
+from math import lcm
 
-from .errors import KleinformError
+from .errors import KleinformError, ValidationError
 from .qz import QZ
 
 
@@ -52,20 +56,17 @@ class SolveResult:
         return "SolveResult(row=%r, residual=%r)" % (self.row, self.residual)
 
 
-def _as_fraction_mod1(v):
-    if isinstance(v, QZ):
-        return v.as_fraction()
-    return Fraction(v) % 1
-
-
 def solve_sparse(rows, ncols, rhs):
     """Solve M*x = b in Q/Z for M given as sparse rows (dicts col -> int coeff).
 
-    Unimodular row combinations reduce each worked column to a single
-    nonzero coefficient; the owning row is then retired and solved later by
-    back-substitution in reverse retirement order, which Q/Z-divisibility
-    always permits.  A row emptied with nonzero right-hand side is the
-    no-solution certificate.
+    Each pivot column, fewest owning rows first, is reduced by Euclid: the
+    owner with the smallest |coefficient| (then the shortest row) takes its
+    floor-quotient multiple off every other owner until one owner is left,
+    and that row is retired.  Retired rows are solved by back-substitution
+    in reverse retirement order, which Q/Z-divisibility always permits.  The
+    first row emptied with a nonzero right-hand side is the no-solution
+    certificate.  Coefficients and column indices must be int; b may hold
+    QZ, Fraction or int values, and a float raises ValidationError.
     """
     nrows = len(rows)
     if len(rhs) != nrows:
@@ -74,151 +75,77 @@ def solve_sparse(rows, ncols, rhs):
         )
     work = []
     for r in rows:
-        row = {c: int(v) for c, v in r.items() if v}
-        for c in row:
+        for c, v in r.items():
+            if not (isinstance(c, int) and isinstance(v, int)):
+                raise ValidationError("solver entries must be int, got %r: %r" % (c, v))
             if not (0 <= c < ncols):
                 raise KleinformError("column index %r out of range" % (c,))
-        work.append(row)
-    b = [_as_fraction_mod1(v) for v in rhs]
-
-    colmap = {}
-    for i, row in enumerate(work):
-        for c in row:
-            colmap.setdefault(c, set()).add(i)
-    active = set(range(nrows))
-    emptied = []
-    verdict = None
+        work.append({c: v for c, v in r.items() if v})
+    fracs = [QZ(v).as_fraction() for v in rhs]
+    L = lcm(*(f.denominator for f in fracs))
+    b = [f.numerator * (L // f.denominator) for f in fracs]
 
     for i in range(nrows):
-        if not work[i]:
-            active.discard(i)
-            if b[i] != 0:
-                return SolveResult(row=i, residual=QZ(b[i]))
+        if not work[i] and b[i]:
+            return SolveResult(row=i, residual=QZ(b[i], L))
+    owners = {}
+    for i, row in enumerate(work):
+        for c in row:
+            owners.setdefault(c, set()).add(i)
 
-    def combine(i, j, c):
-        # one xgcd step on rows i and j at column c; afterwards row j loses c
-        ac, bc = work[i][c], work[j][c]
-        g, x, y = xgcd(ac, bc)
-        u, v = -(bc // g), ac // g
-        cols = set(work[i]) | set(work[j])
-        new_i, new_j = {}, {}
-        for col in cols:
-            vi = work[i].get(col, 0)
-            vj = work[j].get(col, 0)
-            ni = x * vi + y * vj
-            nj = u * vi + v * vj
-            owners = colmap[col]
-            if ni:
-                new_i[col] = ni
-                owners.add(i)
-            else:
-                owners.discard(i)
-            if nj:
-                new_j[col] = nj
-                owners.add(j)
-            else:
-                owners.discard(j)
-        work[i], work[j] = new_i, new_j
-        b[i], b[j] = (x * b[i] + y * b[j]) % 1, (u * b[i] + v * b[j]) % 1
-        if not new_i:
-            emptied.append(i)
-        if not new_j:
-            emptied.append(j)
-
-    def eliminate_with_unit(p, c):
-        # pivot coefficient is +-1: every other active row loses column c
-        s = work[p][c]
-        rowp = work[p]
-        for j in list(colmap[c]):
-            if j == p or j not in active:
-                continue
-            q = work[j][c] * s
-            rowj = work[j]
-            for col, v in rowp.items():
-                nv = rowj.get(col, 0) - q * v
-                if nv:
-                    rowj[col] = nv
-                    colmap.setdefault(col, set()).add(j)
-                else:
-                    rowj.pop(col, None)
-                    colmap[col].discard(j)
-            b[j] = (b[j] - q * b[p]) % 1
-            if not rowj:
-                emptied.append(j)
-
-    def drain_empties():
-        nonlocal verdict
-        for i in emptied:
-            if i in active:
-                active.discard(i)
-                if b[i] != 0 and verdict is None:
-                    verdict = (i, b[i])
-        emptied.clear()
-
-    def column_key(c):
-        owners = colmap[c]
-        has_unit = 0 if any(abs(work[i][c]) == 1 for i in owners) else 1
-        return (has_unit, len(owners), c)
-
-    heap = [(column_key(c), c) for c in colmap]
+    heap = [(len(own), c) for c, own in owners.items()]
     heapq.heapify(heap)
-    retired = []  # (row, pivot column, pivot coefficient), in retirement order
-
-    while verdict is None and heap:
+    retired = []  # (row, pivot column), in retirement order
+    while heap:
         _, c = heapq.heappop(heap)
-        owners = colmap.get(c)
-        if not owners:
+        own = owners[c]
+        if not own:
             continue  # emptied by cancellation: free column
-        key = column_key(c)
-        if heap and key > heap[0][0]:
-            heapq.heappush(heap, (key, c))
+        if heap and (len(own), c) > heap[0]:
+            heapq.heappush(heap, (len(own), c))
             continue
-        owner_list = sorted(owners)
-        while len(owner_list) > 1:
-            units = [i for i in owner_list if abs(work[i][c]) == 1]
-            if units:
-                p = min(units, key=lambda i: (len(work[i]), i))
-                eliminate_with_unit(p, c)
-            else:
-                owner_list.sort(key=lambda i: (abs(work[i][c]), i))
-                combine(owner_list[0], owner_list[1], c)
-            owner_list = sorted(colmap[c])
-        p = owner_list[0]
-        retired.append((p, c, work[p][c]))
-        active.discard(p)
+        while len(own) > 1:
+            p = min(own, key=lambda i: (abs(work[i][c]), len(work[i]), i))
+            rowp, s, bp = work[p], work[p][c], b[p]
+            for j in sorted(own - {p}):
+                rowj = work[j]
+                q = rowj[c] // s
+                for col, v in rowp.items():
+                    if col not in rowj:
+                        rowj[col] = -q * v
+                        owners[col].add(j)
+                    elif rowj[col] == q * v:
+                        del rowj[col]
+                        owners[col].discard(j)
+                    else:
+                        rowj[col] -= q * v
+                b[j] = (b[j] - q * bp) % L
+                if not rowj and b[j]:
+                    return SolveResult(row=j, residual=QZ(b[j], L))
+        p = own.pop()
+        retired.append((p, c))
         for col in work[p]:
-            colmap[col].discard(p)
-        drain_empties()
-
-    drain_empties()
-    if verdict is not None:
-        return SolveResult(row=verdict[0], residual=QZ(verdict[1]))
+            owners[col].discard(p)
 
     x = [Fraction(0)] * ncols
-    assigned = [False] * ncols
-    for p, c, s in reversed(retired):
-        acc = b[p]
-        for col, v in work[p].items():
-            if col != c and assigned[col]:
-                acc -= v * x[col]
-        acc = acc % 1
+    for p, c in reversed(retired):
+        row = work[p]
+        s = row[c]
+        acc = (Fraction(b[p], L) - sum(v * x[col] for col, v in row.items() if col != c)) % 1
         # principal branch of division by s in Q/Z
         val = Fraction(acc.numerator, acc.denominator * abs(s))
-        if s < 0:
-            val = -val
-        x[c] = val % 1
-        assigned[c] = True
+        x[c] = (val if s > 0 else -val) % 1
 
     solution = [QZ(v) for v in x]
-    _verify_sparse(rows, solution, rhs)
+    _verify_sparse(rows, solution, fracs)
     return SolveResult(solution=solution)
 
 
-def _verify_sparse(rows, solution, rhs):
+def _verify_sparse(rows, solution, fracs):
+    # every row checked again in integers over one common denominator D
+    D = lcm(*(v.denominator for v in solution), *(f.denominator for f in fracs))
+    xs = [v.numerator * (D // v.denominator) for v in solution]
     for i, row in enumerate(rows):
-        acc = Fraction(0)
-        for c, v in row.items():
-            acc += v * solution[c].as_fraction()
-        if acc % 1 != _as_fraction_mod1(rhs[i]):
+        lhs = sum(v * xs[c] for c, v in row.items())
+        if (lhs - fracs[i].numerator * (D // fracs[i].denominator)) % D:
             raise KleinformError("internal error: solver produced a non-solution at row %d" % i)
-

@@ -229,6 +229,11 @@ def test_lift_certificates_and_route_agreement():
         window_val = slow.evaluate(p1, p2) - slow.evaluate(p2, p1)
         assert closed_val == window_val
         assert r_diff(rep, alpha, mat) == closed_val
+    box = [(x, y) for x in range(-2, 3) for y in range(-2, 3)]
+    for p1 in box:
+        for p2 in box:
+            assert (fast.evaluate(p1, p2) - fast.evaluate(p2, p1)
+                    == slow.evaluate(p1, p2) - slow.evaluate(p2, p1))
 
     # independent spot check of d(gamma) = pulled-back alpha, away from the
     # certificate's own window

@@ -18,7 +18,7 @@ from kleinform.cochains import (
     validate_cochain,
 )
 from kleinform.errors import KleinformError, ValidationError
-from kleinform.groups import GroupHom, cyclic, direct_product, klein4, symmetric3
+from kleinform.groups import GroupHom, cyclic, dicyclic, direct_product, klein4, symmetric3
 from kleinform.moduli import SL2Z, TorusRep, r_diff
 from kleinform.qz import QZ
 
@@ -257,11 +257,24 @@ def test_coboundary_solve_degree_three():
     b = coboundary_solve(c)
     assert b is not None
     assert differential(b) == c
+    # non-abelian groups, from normalized 2-cochains
+    for group in (symmetric3(), dicyclic(2)):
+        eta = Cochain.from_function(
+            group, 2,
+            lambda g, h: QZ(rnd.randrange(0, 12), rnd.randrange(1, 7)) if g and h else QZ(0),
+        )
+        assert is_normalized(eta)
+        c = differential(eta)
+        b = coboundary_solve(c)
+        assert b is not None and b.degree == 2
+        assert differential(b) == c
 
 
 def test_coboundary_solve_detects_nontrivial_class():
     assert coboundary_solve(alpha_cyclic(2, 1)) is None
     assert coboundary_solve(alpha_cyclic(3, 2)) is None
+    assert coboundary_solve(load_cochain_file(os.path.join(DATA, "s3_cubetwist.cochain"))) is None
+    assert coboundary_solve(_cup_alpha_v8()[1]) is None
     b = coboundary_solve(alpha_cyclic(2, 2))
     assert b is not None
     assert differential(b) == alpha_cyclic(2, 2)

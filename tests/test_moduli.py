@@ -169,6 +169,13 @@ def test_r_diff_matches_window_three_lift():
     wide = SL2Z(1, 2, 0, 1)
     direct = lift_gamma(rep, alpha, window=3, method="window")
     assert r_diff(rep, alpha, wide) == _asymmetry(direct, wide)
+    # the default window-2 lift has the same asymmetry on its whole box
+    narrow = lift_gamma(rep, alpha)
+    box = list(product(range(-2, 3), repeat=2))
+    for p1 in box:
+        for p2 in box:
+            assert (narrow.evaluate(p1, p2) - narrow.evaluate(p2, p1)
+                    == direct.evaluate(p1, p2) - direct.evaluate(p2, p1))
 
 
 def test_r_diff_composition_law():

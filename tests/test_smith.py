@@ -1,9 +1,11 @@
+"""Tests of `kleinform.intmat`: xgcd and the sparse Q/Z solver."""
+
 import random
 from fractions import Fraction
 
 import pytest
 
-from kleinform.errors import KleinformError
+from kleinform.errors import KleinformError, ValidationError
 from kleinform.intmat import solve_sparse, xgcd
 from kleinform.qz import QZ
 
@@ -82,6 +84,50 @@ def test_sparse_empty_rows():
     assert res.solution == [QZ(2, 7)]
     res = solve_sparse([{}], 1, [QZ(1, 3)])
     assert not res.solvable
+
+
+def test_solve_rejects_fraction_coefficient():
+    with pytest.raises(ValidationError):
+        solve_sparse([{0: Fraction(1, 2)}], 1, [QZ(0)])
+
+
+def test_solve_rejects_float_coefficient():
+    with pytest.raises(ValidationError):
+        solve_sparse([{0: 2.7}], 1, [QZ(1, 3)])
+
+
+def test_solve_rejects_non_int_column():
+    with pytest.raises(ValidationError):
+        solve_sparse([{"a": 1}], 1, [QZ(0)])
+
+
+def test_solve_rejects_float_rhs():
+    with pytest.raises(ValidationError):
+        solve_sparse([{0: 1}], 1, [0.5])
+
+
+def test_solve_inconsistent_non_unit_combination():
+    # 2x + 4y = 1/2 is twice x + 2y = 0, which forces 0
+    res = _dense_solve([[2, 4], [1, 2]], [QZ(1, 2), QZ(0)])
+    assert not res.solvable
+    assert res.row == 0
+    assert res.residual == QZ(1, 2)
+
+
+def test_solve_without_unit_coefficients():
+    rows = [[2, 3], [4, 9], [6, 12]]
+    assert all(abs(v) != 1 for row in rows for v in row)
+    x = [QZ(1, 5), QZ(2, 7)]
+    rhs = _substitute(rows, x)
+    res = _dense_solve(rows, rhs)
+    assert res.solvable
+    assert _substitute(rows, res.solution) == rhs
+
+
+def test_solve_negative_pivot():
+    res = _dense_solve([[-3]], [QZ(1, 2)])
+    assert res.solvable
+    assert res.solution == [QZ(5, 6)]
 
 
 def test_solve_accepts_mixed_rhs():
