@@ -1,7 +1,7 @@
 """Exact computations with finite-group cocycles, torus lifts, and their characters."""
 
 from .errors import KleinformError, ValidationError, WindowError, CertificateError
-from .qz import QZ, halve
+from .qz import QZ
 from .intmat import xgcd, solve_sparse, SolveResult
 from .groups import (
     FiniteGroup, GroupHom, cyclic, klein4, symmetric3, dihedral, dicyclic,
@@ -18,9 +18,7 @@ from .moduli import (
     holonomy_cocycle_R, sections_dimension)
 from .groupoid_lines import (
     FiniteGroupoidPresentation, GroupoidCocycle, GroupoidReport,
-    validate_groupoid_cocycle, sections_dim_groupoid, shift_cocycle,
-    cocycle_from_section, GammaAction, equivariant_assemble,
-    group_action_groupoid, parse_groupoid_text, load_groupoid_file,
-    sl2z_word_fragment)
+    validate_groupoid_cocycle, flat_components, parse_groupoid_text,
+    load_groupoid_file)
 
 __version__ = "0.1.0"

@@ -11,7 +11,7 @@ import sys
 
 from .cochains import Cochain, alpha_cyclic, load_cochain_file, validate_cochain
 from .errors import KleinformError
-from .groupoid_lines import (GroupoidCocycle, _flat_components, load_groupoid_file,
+from .groupoid_lines import (GroupoidCocycle, flat_components, load_groupoid_file,
                              validate_groupoid_cocycle)
 from .groups import cyclic, parse_group_spec
 from .moduli import (SL2Z, TorusRep, _bundle_images, dehn_character, klein_character, r_diff,
@@ -115,7 +115,7 @@ def _groupoid_check(args):
     cocycle = GroupoidCocycle(*load_groupoid_file(args.file))
     report = validate_groupoid_cocycle(cocycle)
     header = ["valid", "dim"]
-    row = [_YES[report.valid], str(_flat_components(cocycle)) if report.valid else ""]
+    row = [_YES[report.valid], str(flat_components(cocycle)) if report.valid else ""]
     if args.format == "plain":  # violations are listed in plain text only
         header += ["violation"] * len(report.violations)
         row += report.violations

@@ -113,10 +113,3 @@ class QZ:
     def __repr__(self):
         return "QZ(%d, %d)" % (self._frac.numerator, self._frac.denominator)
 
-
-ZERO = QZ(0)
-
-
-def halve(x):
-    """Module-level spelling of QZ.halve, for symmetry with negation and addition."""
-    return QZ(x).halve()

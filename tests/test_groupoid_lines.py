@@ -1,24 +1,14 @@
-import itertools
-import random
-
 import pytest
 
 from kleinform.errors import KleinformError, ValidationError
-from kleinform.groups import cyclic, symmetric3
+from kleinform.groups import symmetric3
 from kleinform.groupoid_lines import (
     FiniteGroupoidPresentation,
-    GammaAction,
     GroupoidCocycle,
-    cocycle_from_section,
-    equivariant_assemble,
-    group_action_groupoid,
+    flat_components,
     parse_groupoid_text,
-    sections_dim_groupoid,
-    shift_cocycle,
-    sl2z_word_fragment,
     validate_groupoid_cocycle,
 )
-from kleinform.moduli import SL2Z
 from kleinform.qz import QZ
 
 
@@ -47,15 +37,15 @@ def pair_groupoid():
 def test_point_groupoid():
     p = FiniteGroupoidPresentation(1, [(0, 0, "e")], {("e", "e"): "e"})
     assert p.identities == {0: "e"}
-    assert p.compose("e", "e") == "e"
+    assert p.comp == {("e", "e"): "e"}
     assert p.components() == ((0,),)
 
 
 def test_pair_groupoid_structure():
     p = pair_groupoid()
-    assert p.source("f") == 0 and p.target("f") == 1
-    assert p.compose("g", "f") == "id0"
-    assert p.compose("f", "f") is None
+    assert (0, 1, "f") in p.morphisms
+    assert p.comp[("g", "f")] == "id0"
+    assert ("f", "f") not in p.comp
     assert p.identities == {0: "id0", 1: "id1"}
     assert p.components() == ((0, 1),)
 
@@ -100,9 +90,6 @@ def test_missing_composition_total_mode():
     with pytest.raises(ValidationError) as exc:
         FiniteGroupoidPresentation(1, mors, comp)
     assert "missing composition" in str(exc.value)
-    # the same table is accepted as a partial presentation
-    p = FiniteGroupoidPresentation(1, mors, comp, partial=True)
-    assert p.compose("t", "t") is None
 
 
 def test_no_identity_error():
@@ -118,16 +105,22 @@ def test_no_identity_error():
     assert "identity" in str(exc.value)
 
 
-def test_associativity_error_partial():
-    labels = ["e", "a", "b", "c", "ab", "bc", "x", "y"]
-    mors = [(0, 0, lab) for lab in labels]
-    comp = {("e", lab): lab for lab in labels}
-    comp.update({(lab, "e"): lab for lab in labels})
-    comp[("e", "e")] = "e"
-    comp.update({("a", "b"): "ab", ("ab", "c"): "x", ("b", "c"): "bc", ("a", "bc"): "y"})
+def test_associativity_error():
+    # the order-5 nonassociative loop of test_groups, as a one-object
+    # presentation: total, with identity "0" and every inverse, so only
+    # associativity can fail
+    table = [
+        [0, 1, 2, 3, 4],
+        [1, 0, 3, 4, 2],
+        [2, 3, 4, 0, 1],
+        [3, 4, 1, 2, 0],
+        [4, 2, 0, 1, 3],
+    ]
+    mors = [(0, 0, str(a)) for a in range(5)]
+    comp = {(str(a), str(b)): str(table[a][b]) for a in range(5) for b in range(5)}
     with pytest.raises(ValidationError) as exc:
-        FiniteGroupoidPresentation(1, mors, comp, partial=True)
-    assert "associativity" in str(exc.value)
+        FiniteGroupoidPresentation(1, mors, comp)
+    assert str(exc.value) == "associativity fails at '1', '1', '2'"
 
 
 def test_missing_inverse_error():
@@ -169,8 +162,8 @@ def test_validate_flip_cocycle():
 
 def test_sections_dim_examples():
     p = z2_point()
-    assert sections_dim_groupoid(GroupoidCocycle(p, {"t": QZ(1, 2)})) == 0
-    assert sections_dim_groupoid(GroupoidCocycle(p, {})) == 1
+    assert flat_components(GroupoidCocycle(p, {"t": QZ(1, 2)})) == 0
+    assert flat_components(GroupoidCocycle(p, {})) == 1
 
 
 def test_sections_dim_disjoint_union():
@@ -181,201 +174,35 @@ def test_sections_dim_disjoint_union():
         comp.update({(e, e): e, (e, t): t, (t, e): t, (t, t): e})
     p = FiniteGroupoidPresentation(2, mors, comp)
     c = GroupoidCocycle(p, {"t0": QZ(1, 2)})
-    assert sections_dim_groupoid(c) == 1
+    assert flat_components(c) == 1
 
 
-def test_sections_dim_rejects_invalid():
-    p = z2_point()
-    with pytest.raises(KleinformError):
-        sections_dim_groupoid(GroupoidCocycle(p, {"t": QZ(1, 3)}))
+def _conjugation_groupoid(group):
+    """Action groupoid of a group acting on itself by conjugation.
 
-
-def test_shift_cocycle_preserves_everything():
-    p = pair_groupoid()
-    c = GroupoidCocycle(p, {"f": QZ(1, 3), "g": QZ(2, 3)})
-    assert validate_groupoid_cocycle(c).valid
-    shifted = shift_cocycle(c, {0: QZ(1, 5), 1: QZ(3, 5)})
-    assert validate_groupoid_cocycle(shifted).valid
-    assert sections_dim_groupoid(shifted) == sections_dim_groupoid(c)
-    assert shifted("f") == QZ(1, 3) + QZ(1, 5) - QZ(3, 5)
-    # loop values never move under a shift
-    assert shifted("id0") == QZ(0)
-
-
-def test_cocycle_from_section():
-    p = pair_groupoid()
-    zero = cocycle_from_section(p, {0: QZ(0), 1: QZ(0)}, {})
-    assert all(zero(lab) == QZ(0) for _, _, lab in p.morphisms)
-
-    tau = {0: QZ(1, 4), 1: QZ(0)}
-    transport = {"f": QZ(1, 2), "g": QZ(1, 2)}
-    c = cocycle_from_section(p, tau, transport)
-    assert validate_groupoid_cocycle(c).valid
-    assert c("f") == QZ(1, 2) + QZ(1, 4)
-    # un-shifting by tau recovers the transport values
-    back = shift_cocycle(c, {0: -QZ(1, 4), 1: QZ(0)})
-    assert back("f") == QZ(1, 2)
-    assert back("g") == QZ(1, 2)
-
-
-def test_cocycle_from_section_rejects_nonfunctorial():
-    p = pair_groupoid()
-    with pytest.raises(ValidationError) as exc:
-        cocycle_from_section(p, {0: QZ(0), 1: QZ(0)}, {"f": QZ(1, 3)})
-    assert "functorial" in str(exc.value)
-
-
-def test_random_presentations_round_trip():
-    rnd = random.Random(19)
-    for _ in range(25):
-        blocks = rnd.randrange(1, 4)
-        p, _ = _random_disjoint_pairs(rnd, blocks)
-        tau = {x: QZ(rnd.randrange(0, 8), 8) for x in range(p.n_objects)}
-        transport = _random_functorial_transport(rnd, p)
-        c = cocycle_from_section(p, tau, transport)
-        assert validate_groupoid_cocycle(c).valid
-        back = shift_cocycle(c, {x: -tau[x] for x in tau})
-        for _, _, lab in p.morphisms:
-            assert back(lab) == transport.get(lab, QZ(0))
-
-
-def _random_disjoint_pairs(rnd, blocks):
-    # disjoint union of pair groupoids and single points
+    The morphism (g, i) runs from i to g i g^-1, and the composite of
+    (g1, g2 i g2^-1) after (g2, i) is (g1 g2, i).
+    """
     mors = []
     comp = {}
-    obj = 0
-    for b in range(blocks):
-        size = rnd.choice((1, 2))
-        if size == 1:
-            e = "e%d" % obj
-            mors.append((obj, obj, e))
-            comp[(e, e)] = e
-            obj += 1
-        else:
-            i, j = obj, obj + 1
-            names = {
-                "id%d" % i: (i, i),
-                "id%d" % j: (j, j),
-                "f%d" % i: (i, j),
-                "g%d" % i: (j, i),
-            }
-            for lab, (s, d) in names.items():
-                mors.append((s, d, lab))
-            idi, idj = "id%d" % i, "id%d" % j
-            f, g = "f%d" % i, "g%d" % i
-            comp.update({
-                (idi, idi): idi,
-                (idj, idj): idj,
-                (f, idi): f,
-                (idj, f): f,
-                (g, idj): g,
-                (idi, g): g,
-                (g, f): idi,
-                (f, g): idj,
-            })
-            obj += 2
-    return FiniteGroupoidPresentation(obj, mors, comp), obj
-
-
-def _random_functorial_transport(rnd, p):
-    # additive over composites: pick a potential per object and take differences
-    pot = {x: QZ(rnd.randrange(0, 6), 6) for x in range(p.n_objects)}
-    out = {}
-    for s, d, lab in p.morphisms:
-        out[lab] = pot[s] - pot[d]
-    return out
+    for i in group.elements:
+        for g2 in group.elements:
+            j = group.conj(g2, i)
+            mors.append((i, j, (g2, i)))
+            for g1 in group.elements:
+                comp[((g1, j), (g2, i))] = (group.mul(g1, g2), i)
+    return FiniteGroupoidPresentation(group.order, mors, comp)
 
 
 def test_action_groupoid_of_conjugation():
     s3 = symmetric3()
-    p = group_action_groupoid(s3, list(range(6)), lambda i, g: s3.conj(g, i))
+    p = _conjugation_groupoid(s3)
     assert p.n_objects == 6
     assert len(p.morphisms) == 36
     assert set(p.components()) == {(0,), (1, 2, 5), (3, 4)}
     # morphism (g, i) runs from i to the conjugate of i
-    assert p.source((1, 3)) == 3 and p.target((1, 3)) == 4
-    assert p.compose((1, s3.conj(1, 3)), (1, 3)) == (s3.mul(1, 1), 3)
-
-
-def test_gamma_action_identity_check():
-    with pytest.raises(ValidationError):
-        GammaAction((1, 2), 0, None, None, None)
-
-
-def _cyclic_fragment(n):
-    elements = tuple(range(n))
-
-    def compose(a, b):
-        return (a + b) % n
-
-    return elements, compose
-
-
-def test_assemble_character_on_point():
-    p = FiniteGroupoidPresentation(1, [(0, 0, "e")], {("e", "e"): "e"})
-    zero = GroupoidCocycle(p, {})
-    elements, compose = _cyclic_fragment(3)
-    action = GammaAction(
-        elements, 0, compose,
-        act_object=lambda x, g: x,
-        act_morphism=lambda f, g: f,
-    )
-    out = equivariant_assemble(zero, lambda x, g: QZ(g, 3), action)
-    assert out(("e", 0)) == QZ(0)
-    assert out(("e", 1)) == QZ(1, 3)
-    assert out(("e", 2)) == QZ(2, 3)
-    assert validate_groupoid_cocycle(out).valid
-    assert sections_dim_groupoid(out) == 0
-
-
-def test_assemble_trivial_gamma_keeps_cocycle():
-    p = z2_point()
-    c = GroupoidCocycle(p, {"t": QZ(1, 2)})
-    action = GammaAction(
-        ("1",), "1", lambda a, b: "1",
-        act_object=lambda x, g: x,
-        act_morphism=lambda f, g: f,
-    )
-    out = equivariant_assemble(c, lambda x, g: QZ(0), action)
-    assert out(("t", "1")) == QZ(1, 2)
-    assert out(("e", "1")) == QZ(0)
-    assert sections_dim_groupoid(out) == 0
-
-
-def test_assemble_rejects_non_cocycle():
-    p = FiniteGroupoidPresentation(1, [(0, 0, "e")], {("e", "e"): "e"})
-    zero = GroupoidCocycle(p, {})
-    elements, compose = _cyclic_fragment(2)
-    action = GammaAction(
-        elements, 0, compose,
-        act_object=lambda x, g: x,
-        act_morphism=lambda f, g: f,
-    )
-    # 1/3 is not a character of Z/2, so the assembled map cannot close up
-    with pytest.raises(KleinformError) as exc:
-        equivariant_assemble(
-            zero, lambda x, g: QZ(1, 3) if g else QZ(0), action
-        )
-    assert "cocycle law" in str(exc.value)
-
-
-def test_assemble_rejects_broken_action():
-    p = z2_point()
-    c = GroupoidCocycle(p, {})
-    bad_obj = GammaAction(
-        (0, 1), 0, lambda a, b: (a + b) % 2,
-        act_object=lambda x, g: x + g,
-        act_morphism=lambda f, g: f,
-    )
-    with pytest.raises(ValidationError):
-        equivariant_assemble(c, lambda x, g: QZ(0), bad_obj)
-    bad_mor = GammaAction(
-        (0, 1), 0, lambda a, b: (a + b) % 2,
-        act_object=lambda x, g: x,
-        act_morphism=lambda f, g: "missing" if g else f,
-    )
-    with pytest.raises(ValidationError):
-        equivariant_assemble(c, lambda x, g: QZ(0), bad_mor)
+    assert (3, 4, (1, 3)) in p.morphisms
+    assert p.comp[((1, s3.conj(1, 3)), (1, 3))] == (s3.mul(1, 1), 3)
 
 
 def test_parse_groupoid_text():
@@ -413,33 +240,3 @@ def test_parse_groupoid_text_errors():
     with pytest.raises(KleinformError):
         parse_groupoid_text("objects 1\nwat 1 2\n")
 
-
-def test_sl2z_word_fragment_counts():
-    s, t = SL2Z.S(), SL2Z.T()
-    for bound in (0, 1, 2, 3):
-        elements, compose = sl2z_word_fragment([s, t], max_length=bound)
-        # brute-force oracle: entry sets of all words of length <= bound
-        seen = {SL2Z.identity().entries()}
-        for k in range(1, bound + 1):
-            for word in itertools.product((s, t), repeat=k):
-                m = SL2Z.identity()
-                for letter in word:
-                    m = m @ letter
-                seen.add(m.entries())
-        assert {m.entries() for m in elements} == seen
-        assert elements[0] == SL2Z.identity()
-
-
-def test_sl2z_word_fragment_compose():
-    s, t = SL2Z.S(), SL2Z.T()
-    elements, compose = sl2z_word_fragment([s, t], max_length=2)
-    st = compose(s, t)
-    assert st is not None
-    assert st.entries() == (s @ t).entries()
-    # the product of two boundary words usually escapes the fragment
-    long_members = [m for m in elements if m not in (SL2Z.identity(),)]
-    escaped = [1 for a in long_members for b in long_members
-               if compose(a, b) is None]
-    assert escaped
-    with pytest.raises(KleinformError):
-        sl2z_word_fragment([s], max_length=-1)

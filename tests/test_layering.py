@@ -1,7 +1,9 @@
 """The lift module is the tests' reference route, not a production layer.
 
 Only the package root imports kleinform.lifts; every other module reads
-its quantities from alpha, and TorusRep lives in moduli.  No module uses
+its quantities from alpha, and TorusRep lives in moduli.  groupoid_lines
+validates groupoid cocycles for groupoid-check and imports nothing from
+moduli, so no second model of the SL2(Z) action grows there.  No module uses
 functools.lru_cache or functools.cache: results such as a cochain's
 validation flags stay on the object, and caches are explicit module
 dicts (the two in lifts.py are unbounded, and only the tests fill them).
@@ -52,6 +54,12 @@ def test_import_detector_sees_every_spelling():
 def test_only_package_root_imports_lifts():
     importers = [name for name, source in _sources() if "kleinform.lifts" in _imported(source)]
     assert importers == ["__init__.py"]
+
+
+def test_groupoid_lines_imports_no_moduli():
+    sources = dict(_sources())
+    assert not any(name.startswith("kleinform.moduli")
+                   for name in _imported(sources["groupoid_lines.py"]))
 
 
 def test_torus_rep_lives_in_moduli():

@@ -179,15 +179,38 @@ def test_r_diff_matches_window_three_lift():
 
 
 def test_r_diff_composition_law():
-    alpha = alpha_cyclic(4, 1)
-    rep = TorusRep(cyclic(4), 1, 0)
+    # r_diff is a 1-cocycle of the SL2(Z) action on reps that vanishes at I.
+    # The second case is every commuting pair of Z/2 at level 1 against
+    # every S/T word of length at most 4: there the holonomy vanishes too,
+    # so these laws make r_diff a cocycle on the SL2(Z) quotient of the
+    # conjugation groupoid of pairs
     rnd = random.Random(16)
-    mats = [random_gamma1(rnd, 1, bound=9) for _ in range(6)]
-    for a1 in mats:
-        for a2 in mats:
-            lhs = r_diff(rep, alpha, a1 @ a2)
-            rhs = r_diff(rep, alpha, a1) + r_diff(sl2z_act(rep, a1), alpha, a2)
-            assert lhs == rhs
+    z2 = cyclic(2)
+    s, t = SL2Z.S(), SL2Z.T()
+    words = {}
+    for k in range(5):
+        for letters in product((s, t), repeat=k):
+            m = SL2Z.identity()
+            for letter in letters:
+                m = m @ letter
+            words.setdefault(m.entries(), m)
+    z2_pairs = [TorusRep(z2, g, h) for g in z2.elements for h in z2.elements]
+    cases = (
+        (alpha_cyclic(4, 1), [TorusRep(cyclic(4), 1, 0)],
+         [random_gamma1(rnd, 1, bound=9) for _ in range(6)]),
+        (alpha_cyclic(2, 1), z2_pairs, list(words.values())),
+    )
+    for alpha, reps, mats in cases:
+        for rep in reps:
+            assert r_diff(rep, alpha, SL2Z.identity()) == 0
+            for a1 in mats:
+                for a2 in mats:
+                    lhs = r_diff(rep, alpha, a1 @ a2)
+                    rhs = r_diff(rep, alpha, a1) + r_diff(sl2z_act(rep, a1), alpha, a2)
+                    assert lhs == rhs
+    for rep in z2_pairs:
+        for z in z2.elements:
+            assert holonomy_cocycle_R(rep, alpha_cyclic(2, 1), z) == 0
 
 
 def test_st_route_matches_direct_lift():
