@@ -53,35 +53,28 @@ class FiniteGroupoidPresentation:
                 raise ValidationError("composite of %r after %r has mismatched endpoints" % (f, g))
             comp[(f, g)] = h
         self.comp = comp
+        # labels by target and by source object, in morphism order, so each
+        # check names the first offender that a scan of every label would
+        into, out = {}, {}
+        for s, d, label in mors:
+            into.setdefault(d, []).append(label)
+            out.setdefault(s, []).append(label)
         for f in src:
-            for g in src:
-                if src[f] == dst[g] and (f, g) not in comp:
+            for g in into.get(src[f], ()):
+                if (f, g) not in comp:
                     raise ValidationError("missing composition for %r after %r" % (f, g))
-        self.identities = self._find_identities()
-        self._check_associativity()
-        self._check_inverses()
+        self.identities = self._find_identities(into, out)
+        self._check_associativity(into)
+        self._check_inverses(into)
 
-    def _find_identities(self):
-        loops = {}
-        for s, d, label in self.morphisms:
-            if s == d:
-                loops.setdefault(s, []).append(label)
+    def _find_identities(self, into, out):
+        comp, src = self.comp, self._src
         identities = {}
         for x in range(self.n_objects):
-            winners = []
-            for e in loops.get(x, ()):
-                if self.comp.get((e, e)) != e:
-                    continue
-                neutral = True
-                for s, d, f in self.morphisms:
-                    if d == x and self.comp.get((e, f)) != f:
-                        neutral = False
-                        break
-                    if s == x and self.comp.get((f, e)) != f:
-                        neutral = False
-                        break
-                if neutral:
-                    winners.append(e)
+            ins, outs = into.get(x, ()), out.get(x, ())
+            winners = [e for e in ins if src[e] == x and comp[(e, e)] == e
+                       and all(comp[(e, f)] == f for f in ins)
+                       and all(comp[(f, e)] == f for f in outs)]
             if not winners:
                 raise ValidationError("object %d has no identity morphism" % x)
             if len(winners) > 1:
@@ -89,28 +82,19 @@ class FiniteGroupoidPresentation:
             identities[x] = winners[0]
         return identities
 
-    def _check_associativity(self):
+    def _check_associativity(self, into):
         comp = self.comp
-        by_target = {}
-        for s, d, label in self.morphisms:
-            by_target.setdefault(d, []).append(label)
         for (f, g), fg in comp.items():
-            for h in by_target.get(self._src[g], ()):
+            for h in into.get(self._src[g], ()):
                 if comp[(fg, h)] != comp[(f, comp[(g, h)])]:
                     raise ValidationError(
                         "associativity fails at %r, %r, %r" % (f, g, h))
 
-    def _check_inverses(self):
+    def _check_inverses(self, into):
+        comp, ids, src = self.comp, self.identities, self._src
         for s, d, f in self.morphisms:
-            ok = False
-            for s2, d2, g in self.morphisms:
-                if s2 != d or d2 != s:
-                    continue
-                if (self.comp.get((f, g)) == self.identities[d]
-                        and self.comp.get((g, f)) == self.identities[s]):
-                    ok = True
-                    break
-            if not ok:
+            if not any(src[g] == d and comp[(f, g)] == ids[d] and comp[(g, f)] == ids[s]
+                       for g in into.get(s, ())):
                 raise ValidationError("morphism %r has no inverse" % (f,))
 
     def components(self):

@@ -3,13 +3,15 @@
 Genus-one bundles over a finite structure group G are commuting pairs
 (TorusRep); SL2(Z) acts on them through the plane and G by conjugation
 (torus_orbits).  r_diff (the character against a matrix, whose T^ord
-block is dehn_character) and the conjugation holonomy behind
-sections_dimension are defined through a normalized lift of the
-pulled-back three-cocycle, but the lift cancels out of each: they are read
-from alpha's integer table over its common denominator, a few lookups per
-S or T letter or per conjugating element.  klein_character is the closed
-form r_diff takes on Gamma1(n).  The tests keep the lift route (lifts.py,
-which imports this module, never the reverse) as the reference.
+block is dehn_character) and the conjugation holonomy are defined through
+a normalized lift of the pulled-back three-cocycle, but the lift cancels
+out of each: they are read from alpha's integer table over its common
+denominator, a few lookups per S or T letter or per conjugating element.
+sections_dimension reads the holonomy only at stabilizer elements, six
+lookups each, in one pass over commuting pairs weighted by stabilizer
+size.  klein_character is the closed form r_diff takes on Gamma1(n).  The
+tests keep the lift route (lifts.py, which imports this module, never the
+reverse) as the reference.
 """
 
 from __future__ import annotations
@@ -386,13 +388,34 @@ def holonomy_cocycle_R(rep, alpha, z):
 def sections_dimension(group, alpha):
     """Number of conjugation orbits of torus reps with vanishing stabilizer character.
 
-    For each row of torus_orbits, holonomy_cocycle_R at the least pair is
-    read in integers over alpha's common denominator at every element of
-    the stabilizer; orbits where it vanishes throughout are counted.
+    One pass over the commuting pairs rho = (g, h), with no orbit table.
+    The stabilizer of rho is C(g) & C(h), and a stabilizer element z fixes
+    g and h, so holonomy_cocycle_R(rho, z) loses its conjugations:
+
+        alpha(z, g, h) - alpha(z, h, g) + alpha(g, h, z)
+        - alpha(h, g, z) - alpha(g, z, h) + alpha(h, z, g),
+
+    six lookups in alpha's integer table, tested modulo L up to the first
+    nonzero one.  A flat pair adds |C(g, h)|, and the total over |G| is the
+    count.  Two facts make this exact.  The holonomy is a 1-cocycle of the
+    conjugation groupoid; its law on z s = (z s z^-1) z, for s fixing rho,
+    gives hol(z rho, z s z^-1) = hol(rho, s), so flatness is constant on
+    an orbit.  An orbit has |G| / |C(g, h)| members (orbit-stabilizer), so
+    each flat orbit adds exactly |G|.  Swapping g and h negates all six
+    terms and keeps the stabilizer, so only h >= g is read and a pair with
+    h != g counts twice.
     """
     _check_alpha_for(group, alpha)
-    L, tab = alpha.L, alpha.ints
-    return sum(
-        all(_holonomy_scaled(group, tab, g, h, z) % L == 0 for z in stab)
-        for (g, h), _, stab in torus_orbits(group)
-    )
+    n, L, tab, table = group.order, alpha.L, alpha.ints, group.table
+    cent = [[x for x in range(n) if row[x] == table[x][g]] for g, row in enumerate(table)]
+    total = 0
+    for g, cg in enumerate(cent):
+        for h in cg[cg.index(g):]:
+            row = table[h]
+            stab = [z for z in cg if row[z] == table[z][h]]
+            gh, hg = (g * n + h) * n, (h * n + g) * n
+            if not any((tab[(z * n + g) * n + h] - tab[(z * n + h) * n + g] + tab[gh + z]
+                        - tab[hg + z] - tab[(g * n + z) * n + h] + tab[(h * n + z) * n + g]) % L
+                       for z in stab):
+                total += len(stab) * (1 + (h != g))
+    return total // n

@@ -5,6 +5,7 @@ Every expected value here is recomputed by an independent in-test oracle
 by trusting the code under test.  All equalities are exact.
 """
 
+import os
 import random
 import time
 from fractions import Fraction
@@ -20,6 +21,7 @@ from kleinform.cochains import (
     differential,
     is_closed,
     is_normalized,
+    load_cochain_file,
     pullback_cochain,
     validate_cochain,
 )
@@ -55,6 +57,8 @@ from kleinform.moduli import (
     torus_orbits,
 )
 from kleinform.qz import QZ
+
+DATA = os.path.join(os.path.dirname(__file__), "data")
 
 
 def random_gamma1(rnd, n, bound=50):
@@ -183,23 +187,41 @@ def test_alpha_family_cocycle_validity():
                 assert witness is None
 
 
+def _orbit_sections(group, alpha, rows):
+    """The orbit-by-orbit section count: a row of torus_orbits counts when
+    the holonomy at its least pair, the conjugated six-term sum in alpha's
+    integer table, vanishes at every element of its stabilizer."""
+    n, L, tab = group.order, alpha.L, alpha.ints
+
+    def scaled(g, h, z):
+        cg, ch = group.conj(z, g), group.conj(z, h)
+        return (tab[(z * n + g) * n + h] - tab[(z * n + h) * n + g]
+                + tab[(cg * n + ch) * n + z] - tab[(ch * n + cg) * n + z]
+                - tab[(cg * n + z) * n + h] + tab[(ch * n + z) * n + g])
+
+    return sum(all(scaled(g, h, z) % L == 0 for z in stab) for (g, h), _, stab in rows)
+
+
 def test_integer_cochains_match_qz_reference():
     """The integer-table cochain agrees with the QZ-table definitions: its
     construction from values, the pullback, closedness (every entry of the
     full differential is zero) and normalization (zero at every flat index
-    whose unflattened arguments include the identity)."""
+    whose unflattened arguments include the identity).  At every level the
+    one-pass sections_dimension equals the orbit-by-orbit count."""
     for grp in _small_groups():
         n = grp.order
         with_identity = [flat for flat in range(n**3) if 0 in _unflatten(flat, n, 3)]
         exponent = 1
         for g in grp.elements:
             exponent = lcm(exponent, grp.order_of(g))
+        rows = torus_orbits(grp)
         for alpha in _pulled_back_levels(grp):
             values = alpha.values
             rebuilt = Cochain(grp, 3, list(values))
             assert rebuilt == alpha and hash(rebuilt) == hash(alpha)
             assert is_closed(alpha) == (not any(differential(alpha).ints))
             assert is_normalized(alpha) == (not any(values[f] for f in with_identity))
+            assert sections_dimension(grp, alpha) == _orbit_sections(grp, alpha, rows)
         level = alpha_cyclic(exponent, 1 + n % exponent)
         for hom in all_homs(grp, cyclic(exponent)):
             assert pullback_cochain(level, hom) == Cochain.from_function(
@@ -385,9 +407,28 @@ def _oracle_sections(group, alpha):
     return dim
 
 
+def _cup_cocycle():
+    """The product cocycle x1*y2*z3/2 on (Z/2)^3."""
+    v8 = direct_product(direct_product(cyclic(2), cyclic(2)), cyclic(2))
+
+    def coords(i):
+        return ((i >> 2) & 1, (i >> 1) & 1, i & 1)
+
+    return v8, Cochain.from_function(
+        v8, 3,
+        lambda a, b, c: QZ(coords(a)[0] * coords(b)[1] * coords(c)[2], 2),
+    )
+
+
+def _cube_twist():
+    return load_cochain_file(os.path.join(DATA, "s3_cubetwist.cochain"))
+
+
 def test_section_dimensions_match_character_oracle():
     """Section dimensions 4, 4 and 9 on the small cyclic cases, against an
-    exhaustive character-vanishing count done from scratch."""
+    exhaustive character-vanishing count done from scratch; those and the
+    (Z/2)^3 cup cocycle, the S3 cube twist and a coboundary on S3 also
+    against the orbit-by-orbit count."""
     z2 = cyclic(2)
     z3 = cyclic(3)
     cases = [
@@ -402,15 +443,7 @@ def test_section_dimensions_match_character_oracle():
     # a level where the dimension genuinely drops below the orbit count:
     # the product cocycle on (Z/2)^3 keeps exactly the linearly dependent
     # pairs, 22 of the 64
-    v8 = direct_product(direct_product(cyclic(2), cyclic(2)), cyclic(2))
-
-    def coords(i):
-        return ((i >> 2) & 1, (i >> 1) & 1, i & 1)
-
-    cup = Cochain.from_function(
-        v8, 3,
-        lambda a, b, c: QZ(coords(a)[0] * coords(b)[1] * coords(c)[2], 2),
-    )
+    v8, cup = _cup_cocycle()
     report = validate_cochain(cup)
     assert report.closed
     assert report.normalized
@@ -420,6 +453,46 @@ def test_section_dimensions_match_character_oracle():
     assert len(enumerate_bundles(v8, 1)) == 64
     assert sections_dimension(v8, cup) == 22
     assert _oracle_sections(v8, cup) == 22
+
+    # the coboundary of the 2-cochain 1/4 at (3, 4) has nonzero holonomy
+    # off the stabilizers, but every orbit is flat
+    s3 = symmetric3()
+    eta = Cochain.from_function(s3, 2, lambda a, b: QZ(1, 4) if (a, b) == (3, 4) else QZ(0))
+    for grp, alpha, expect in cases + [(v8, cup, 22), (s3, _cube_twist(), 8),
+                                       (s3, differential(eta), 8)]:
+        assert sections_dimension(grp, alpha) == expect
+        assert _orbit_sections(grp, alpha, torus_orbits(grp)) == expect
+
+
+def test_stabilizer_character_is_conjugation_invariant():
+    """The lemma behind the one-pass count: for every torus_orbits row
+    rho, stabilizer element s and z in G, the stabilizer of z rho is
+    z Stab(rho) z^-1 and hol(z rho, z s z^-1) = hol(rho, s), so the
+    stabilizer character at z rho vanishes exactly when it does at rho."""
+    v8, cup = _cup_cocycle()
+    cube = _cube_twist()
+    cases = [(cube.group, cube), (v8, cup)]
+    for grp in (dihedral(4), dicyclic(2), alternating4()):
+        cases += [(grp, alpha) for alpha in _pulled_back_levels(grp)]
+    assert len(cases) == 2 + 4 + 4 + 5
+    flat_rows = 0
+    for grp, alpha in cases:
+        for (g, h), _, stab in torus_orbits(grp):
+            rep = TorusRep(grp, g, h)
+            values = [holonomy_cocycle_R(rep, alpha, s) for s in stab]
+            for z in grp.elements:
+                moved = TorusRep(grp, grp.conj(z, g), grp.conj(z, h))
+                moved_stab = [s for s in grp.elements
+                              if (grp.conj(s, moved.g), grp.conj(s, moved.h))
+                              == (moved.g, moved.h)]
+                assert sorted(grp.conj(z, s) for s in stab) == moved_stab
+                moved_values = [holonomy_cocycle_R(moved, alpha, grp.conj(z, s))
+                                for s in stab]
+                assert moved_values == values
+                moved_flat = not any(holonomy_cocycle_R(moved, alpha, s) for s in moved_stab)
+                assert moved_flat == (not any(values))
+            flat_rows += not any(values)
+    assert flat_rows == sum(sections_dimension(grp, alpha) for grp, alpha in cases)
 
 
 def _random_blocks(rnd):

@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from kleinform.errors import KleinformError, ValidationError
@@ -129,6 +131,45 @@ def test_missing_inverse_error():
     with pytest.raises(ValidationError) as exc:
         FiniteGroupoidPresentation(1, mors, comp)
     assert "inverse" in str(exc.value)
+
+
+def test_errors_name_the_first_offender_in_morphism_order():
+    # two objects, so the source and target indexes matter: each error
+    # names the first label in morphism order that fails
+    mors = [(0, 0, "id0"), (1, 1, "id1"), (0, 1, "f"), (1, 0, "g")]
+    comp = dict(pair_groupoid().comp)
+    del comp[("f", "g")], comp[("g", "f")], comp[("g", "id1")]
+    with pytest.raises(ValidationError) as exc:
+        FiniteGroupoidPresentation(2, mors, comp)
+    assert str(exc.value) == "missing composition for 'f' after 'g'"
+
+    mors = [(0, 0, "e0"), (1, 1, "a"), (1, 1, "b")]
+    comp = {("e0", "e0"): "e0", ("a", "a"): "a", ("a", "b"): "a",
+            ("b", "a"): "a", ("b", "b"): "a"}
+    with pytest.raises(ValidationError) as exc:
+        FiniteGroupoidPresentation(2, mors, comp)
+    assert str(exc.value) == "object 1 has no identity morphism"
+
+    # two idempotent monoids {e, t}, t t = t, listed object 1 first
+    mors = [(1, 1, "e1"), (1, 1, "t1"), (0, 0, "e0"), (0, 0, "t0")]
+    comp = {}
+    for e, t in (("e0", "t0"), ("e1", "t1")):
+        comp.update({(e, e): e, (e, t): t, (t, e): t, (t, t): t})
+    with pytest.raises(ValidationError) as exc:
+        FiniteGroupoidPresentation(2, mors, comp)
+    assert str(exc.value) == "morphism 't1' has no inverse"
+
+
+def test_discrete_groupoid_validates_in_linear_time():
+    n = 20_000
+    mors = [(i, i, "e%d" % i) for i in range(n)]
+    comp = {("e%d" % i, "e%d" % i): "e%d" % i for i in range(n)}
+    start = time.perf_counter()
+    pres = FiniteGroupoidPresentation(n, mors, comp)
+    cocycle = GroupoidCocycle(pres, {})
+    assert validate_groupoid_cocycle(cocycle).valid
+    assert flat_components(cocycle) == n
+    assert time.perf_counter() - start < 2
 
 
 def test_cocycle_values_default_to_zero():
