@@ -14,8 +14,8 @@ from .errors import KleinformError
 from .groupoid_lines import (GroupoidCocycle, flat_components, load_groupoid_file,
                              validate_groupoid_cocycle)
 from .groups import cyclic, parse_group_spec
-from .moduli import (SL2Z, TorusRep, _bundle_images, dehn_character, klein_character, r_diff,
-                     sections_dimension, torus_orbits)
+from .moduli import (SL2Z, TorusRep, dehn_character, enumerate_bundles, klein_character,
+                     r_diff, sections_dimension, torus_orbits)
 
 
 def _int_tuple(count, message):
@@ -97,7 +97,7 @@ def _verify_alpha(args):
 
 
 def _enumerate(args):
-    images = _bundle_images(args.group, args.genus)  # each datum is written as it is found
+    images = enumerate_bundles(args.group, args.genus)  # each datum is written as it is found
     if args.genus == 1:
         header = ["e1", "e2"]
     else:

@@ -72,14 +72,13 @@ class FiniteGroupoidPresentation:
         identities = {}
         for x in range(self.n_objects):
             ins, outs = into.get(x, ()), out.get(x, ())
-            winners = [e for e in ins if src[e] == x and comp[(e, e)] == e
-                       and all(comp[(e, f)] == f for f in ins)
-                       and all(comp[(f, e)] == f for f in outs)]
-            if not winners:
+            # two identities e1, e2 at x would give e1 = e1 after e2 = e2
+            winner = next((e for e in ins if src[e] == x and comp[(e, e)] == e
+                           and all(comp[(e, f)] == f for f in ins)
+                           and all(comp[(f, e)] == f for f in outs)), None)
+            if winner is None:
                 raise ValidationError("object %d has no identity morphism" % x)
-            if len(winners) > 1:
-                raise ValidationError("object %d has more than one identity morphism" % x)
-            identities[x] = winners[0]
+            identities[x] = winner
         return identities
 
     def _check_associativity(self, into):

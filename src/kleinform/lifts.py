@@ -11,15 +11,15 @@ module produces explicit primitives gamma with
 normalized so that gamma vanishes when an argument is the origin and takes
 equal values on (e1, e2) and (e2, e1).  Two construction routes exist: a
 staircase closed formula when the image of rho is cyclic, and an exact
-linear solve over a finite window of the plane otherwise.  Every lift,
-however built, re-verifies its defining equation on all window triples
-before it is handed out; a failure there is a CertificateError and means a
-bug, never bad input.  Alpha is read only from its integer table (alpha.L
-and alpha.ints), and lift values are Fractions in [0, 1).  No other module
+linear solve over a finite window of the plane otherwise.  Closed lifts
+rest on their staircase's one certificate, which covers all of Z^2 (see
+_Staircase); every other lift re-verifies its defining equation on all
+window triples.  A failure is a CertificateError and means a bug, never
+bad input.  Alpha is read only from its integer table (alpha.L and
+alpha.ints), and lift values are Fractions in [0, 1).  No other module
 computes with these lifts: moduli reads every character from alpha, and
-the tests use this module as the reference route.  Its two caches, of
-lifts and of staircases with the window their certificate covers, are
-unbounded; only the tests fill them.
+the tests use this module as the reference route.  The one cache, of
+certified staircases, is unbounded; only the tests fill it.
 """
 
 from __future__ import annotations
@@ -42,35 +42,49 @@ DEFAULT_WINDOW = 2
 class _Staircase:
     """Prefix-sum data for the closed-formula lift over a cyclic image.
 
-    With k a generator of the image, g = k^p, h = k^q and lam(x, y) =
-    p*x + q*y, the base lift is gamma0(a, b) = F(lam a, lam b) where
-    F(m, z) sums alpha(k, k^j, k^z) for j from 0 to m-1 (negated partial
-    sums for negative m).  F is periodic up to the full-period sum, so two
-    small tables cover every integer argument.  F sums integers over L,
-    the common denominator of alpha restricted to the image.
+    With k a generator of the image, of order nk, F(m, z) sums
+    alpha(k, k^j, k^z) for j from 0 to m-1 (negated partial sums for
+    negative m); res holds alpha(k^i, k^j, k^l) at i*nk^2 + j*nk + l as
+    integers over L.  Construction checks, mod L, that pref[0] vanishes and
+
+        F(m1, m2) + F(m1+m2, m3) - F(m1, m2+m3) - F(m2, m3) = res[m1 % nk, m2, m3]
+
+    for m1 in 0..nk and m2, m3 in 0..nk-1.  The left side is unmoved when
+    m2 or m3 moves by nk, and moves by period[m2] + period[m3] -
+    period[m2+m3] when m1 does, which the checks at m1 = 0 and nk make 0.
+    So the identity holds on Z^3; lam(x, y) = p*x + q*y is linear with
+    rho(a) = k^lam(a) and the bilinear twist is a cocycle, so every closed
+    lift satisfies its defining equation on all of Z^2, and F(0, z) = 0 and
+    pref[0] make it vanish at the origin.  lift_gamma checks the symmetry.
     """
 
-    __slots__ = ("nk", "p", "q", "L", "pref", "period")
+    __slots__ = ("nk", "L", "pref", "period")
 
-    def __init__(self, nk, p, q, L, res):
-        # res: numerators over L, alpha(k^i, k^j, k^l) at i*nk^2 + j*nk + l
-        self.nk, self.p, self.q, self.L = nk, p, q, L
+    def __init__(self, nk, L, res):
+        self.nk, self.L = nk, L
         start = (1 % nk) * nk * nk  # k itself; reduces to the identity when nk = 1
         k_slice = res[start:start + nk * nk]  # alpha(k, k^j, k^z) at j*nk + z
         self.pref = [list(accumulate(k_slice[z::nk], initial=0)) for z in range(nk)]
         self.period = [col[-1] for col in self.pref]
+        F = self.F
+        if any(x % L for x in self.pref[0]):
+            raise CertificateError("staircase does not vanish at the identity")
+        for m1, m2, m3 in product(range(nk + 1), range(nk), range(nk)):
+            if (F(m1, m2) + F(m1 + m2, m3) - F(m1, m2 + m3) - F(m2, m3)
+                    - res[((m1 % nk) * nk + m2) * nk + m3]) % L:
+                raise CertificateError("staircase identity fails at %r" % ((m1, m2, m3),))
 
     def F(self, m, z):
         z %= self.nk
         return (m // self.nk) * self.period[z] + self.pref[z][m % self.nk]
 
-    def gamma0(self, a, b):
-        p, q = self.p, self.q
-        return Fraction(self.F(p * a[0] + q * a[1], p * b[0] + q * b[1]) % self.L, self.L)
+    def gamma0(self, p, q):
+        """The untwisted lift F(lam a, lam b) at g = k^p and h = k^q."""
+        F, L = self.F, self.L
+        return lambda a, b: Fraction(F(p * a[0] + q * a[1], p * b[0] + q * b[1]) % L, L)
 
 
-_STAIR_CACHE = {}  # staircase key -> [staircase, lam0, largest window certified]
-_LIFT_CACHE = {}
+_STAIR_CACHE = {}  # (nk, L, restricted alpha) -> certified _Staircase
 
 
 def _twisted(base, lam0):
@@ -225,14 +239,11 @@ def has_cyclic_image(rep):
 
 
 def _staircase_for(rep, alpha):
-    """The cache entry [staircase, lam0, certified window] of a rep, or None.
+    """(staircase, p, q) with g = k^p and h = k^q, or None if the image is not cyclic.
 
-    None means the image of the rep is not cyclic.  Entries are keyed on
-    the mathematical content (cyclic order, discrete logs, the restricted
-    alpha over its least common denominator), so reps in different groups
-    with matching restrictions share everything, including certification:
-    the defining equation only ever sees alpha through its restriction to
-    the image.
+    Staircases are keyed on the cyclic order and the restricted alpha over
+    its least common denominator, so reps with the same image and
+    restriction, in any group, share one staircase and its one certificate.
     """
     grp = rep.group
     sub = closure(grp, [rep.g, rep.h])
@@ -243,16 +254,11 @@ def _staircase_for(rep, alpha):
     n, tab = grp.order, alpha.ints
     res = [tab[(i * n + j) * n + l] for i in powers for j in powers for l in powers]
     g = gcd(alpha.L, *res)
-    key = (len(sub), powers.index(rep.g), powers.index(rep.h), alpha.L // g,
-           tuple([x // g for x in res]))
-    entry = _STAIR_CACHE.get(key)
-    if entry is None:
-        stair = _Staircase(*key)
-        L, p, q = stair.L, stair.p, stair.q
-        # lam0 is QZ.halve of F(q, p) - F(p, q): its residue in 0..L-1, over 2L
-        lam0 = Fraction((stair.F(q, p) - stair.F(p, q)) % L, 2 * L)
-        entry = _STAIR_CACHE[key] = [stair, lam0, 0]
-    return entry
+    key = (len(sub), alpha.L // g, tuple([x // g for x in res]))
+    stair = _STAIR_CACHE.get(key)
+    if stair is None:
+        stair = _STAIR_CACHE[key] = _Staircase(*key)
+    return stair, powers.index(rep.g), powers.index(rep.h)
 
 
 def _solve_window(rep, alpha, w):
@@ -290,7 +296,7 @@ def lift_gamma(rep, alpha, window=None, method="auto"):
     when the image of rep is cyclic) and falls back to the window solve;
     "closed" and "window" force a route.  The default window is 2; window
     lifts can only be evaluated inside their window, closed lifts anywhere.
-    The certificate re-verification runs on every construction.
+    Window lifts are certified on every construction, closed ones by their staircase.
     """
     _check_alpha_for(rep.group, alpha)
     w = DEFAULT_WINDOW if window is None else int(window)
@@ -299,29 +305,21 @@ def lift_gamma(rep, alpha, window=None, method="auto"):
     if method not in ("auto", "closed", "window"):
         raise KleinformError("method must be auto, closed or window")
 
-    cache_key = (rep, alpha, w, method)
-    hit = _LIFT_CACHE.get(cache_key)
-    if hit is not None:
-        return hit
-
-    entry = None if method == "window" else _staircase_for(rep, alpha)
-    if entry is not None:
-        stair, lam0, done = entry
-        # identical staircase data has an identical certificate, so a
-        # window already covered for this key need not be re-verified
-        lift = GammaLift(rep, alpha, w, "closed", _twisted(stair.gamma0, lam0),
-                         normalized=True, _certified=done >= w)
-        entry[2] = max(done, w)
-    elif method == "closed":
+    found = None if method == "window" else _staircase_for(rep, alpha)
+    if found is None and method == "closed":
         raise KleinformError("closed-form lift needs a cyclic image")
-    else:
+    if found is None:
         table = _solve_window(rep, alpha, w)
-        lam0 = QZ(table[(E2, E1)] - table[(E1, E2)]).halve().as_fraction()
-        lift = GammaLift(rep, alpha, w, "window",
-                         _twisted(lambda a, b: table[(a, b)], lam0), normalized=True)
-
-    _LIFT_CACHE[cache_key] = lift
-    return lift
+        base = lambda a, b: table[(a, b)]
+    else:
+        stair, p, q = found
+        base = stair.gamma0(p, q)
+    fn = _twisted(base, QZ(base(E2, E1) - base(E1, E2)).halve().as_fraction())
+    if found is None:
+        return GammaLift(rep, alpha, w, "window", fn, normalized=True)
+    if (fn(E1, E2) - fn(E2, E1)) % 1:
+        raise CertificateError("lift is not symmetric at (e1, e2)")
+    return GammaLift(rep, alpha, w, "closed", fn, normalized=True, _certified=True)
 
 
 def sigma_diff(first, second):

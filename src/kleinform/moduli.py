@@ -182,14 +182,15 @@ def _commutator_product(group, images):
     return acc
 
 
-def _bundle_images(group, genus):
-    """The image tuples of enumerate_bundles, lazily, in the same order.
+def enumerate_bundles(group, genus):
+    """All genus-g bundle data over the group, lazily, in lexicographic order.
 
-    The size checks run at the call, before the first tuple is found: a
-    genus whose 2g images alone exceed ENUMERATION_CAP is refused, and so
-    is a count order**(2g) above it.  An order of 2 or more exceeds the
-    cap once 2g reaches the cap's bit length, so the power is taken with
-    the exponent cut there.
+    Each datum is an image tuple (g1, h1, ..., gg, hg) with vanishing total
+    commutator, the images a SurfaceRep holds.  The size checks run at the
+    call, before the first tuple is found: a genus whose 2g images alone
+    exceed ENUMERATION_CAP is refused, and so is a count order**(2g) above
+    it.  An order of 2 or more exceeds the cap once 2g reaches the cap's
+    bit length, so the power is taken with the exponent cut there.
     """
     if genus < 1:
         raise KleinformError("genus must be at least 1")
@@ -204,11 +205,6 @@ def _bundle_images(group, genus):
         )
     return (images for images in product(group.elements, repeat=width)
             if _commutator_product(group, images) == 0)
-
-
-def enumerate_bundles(group, genus):
-    """All genus-g bundle data over the group, in lexicographic image order."""
-    return [SurfaceRep(group, genus, images) for images in _bundle_images(group, genus)]
 
 
 def orbit_stabilizer(srep):
@@ -371,7 +367,8 @@ def holonomy_cocycle_R(rep, alpha, z):
     the rep.  It equals the asymmetry at (e1, e2) of
     conjugate_lift(lift_gamma(rep, alpha), z), for every z in the group:
     lift_gamma only hands out normalized lifts (lam0 makes the value at
-    (e1, e2) equal the value at (e2, e1), and _certify checks it), and
+    (e1, e2) equal the value at (e2, e1), and every lift is checked for
+    it), and
     conjugate_lift adds beta(a, b) = alpha(z, rho a, rho b)
     + alpha(z rho(a) z^-1, z rho(b) z^-1, z) - alpha(z rho(a) z^-1, z, rho b).
     So the conjugate's asymmetry is beta(e1, e2) - beta(e2, e1); with

@@ -6,7 +6,8 @@ validates groupoid cocycles for groupoid-check and imports nothing from
 moduli, so no second model of the SL2(Z) action grows there.  No module uses
 functools.lru_cache or functools.cache: results such as a cochain's
 validation flags stay on the object, and caches are explicit module
-dicts (the two in lifts.py are unbounded, and only the tests fill them).
+dicts (the staircase cache in lifts.py is unbounded, and only the tests
+fill it).
 Files are opened in one function only (groups.read_lines, which every
 parser reads through), and only cli.py prints or writes csv.
 """

@@ -15,12 +15,14 @@ from kleinform.errors import (
     ValidationError,
     WindowError,
 )
+from kleinform import lifts
 from kleinform.groups import GroupHom, cyclic, klein4, symmetric3
 from kleinform.lifts import (
     E1,
     E2,
     GammaLift,
     TorusRep,
+    _Staircase,
     conjugate_lift,
     has_cyclic_image,
     lift_gamma,
@@ -287,10 +289,26 @@ def test_conjugate_rejects_outside_element():
         conjugate_lift(lift, 7)
 
 
-def test_lift_cache_returns_same_object():
-    rep = TorusRep(cyclic(3), 1, 0)
+def test_staircase_certificate_rejects_a_corrupted_table():
+    # with k = 1 in Z/3, the restricted table of alpha is its whole table
     alpha = alpha_cyclic(3, 1)
-    assert lift_gamma(rep, alpha) is lift_gamma(rep, alpha)
+    _Staircase(3, alpha.L, list(alpha.ints))
+    for (i, j, l), fault in (((2, 2, 2), "identity fails"), ((1, 1, 0), "vanish")):
+        bad = list(alpha.ints)
+        bad[(i * 3 + j) * 3 + l] += 1
+        with pytest.raises(CertificateError, match=fault):
+            _Staircase(3, alpha.L, bad)
+
+
+def test_staircases_are_keyed_on_the_restricted_table(monkeypatch):
+    # every commuting pair of Z/6 at one level: one staircase per subgroup,
+    # whatever the discrete logs of g and h
+    monkeypatch.setattr(lifts, "_STAIR_CACHE", {})
+    z6, alpha = cyclic(6), alpha_cyclic(6, 1)
+    for g in z6.elements:
+        for h in z6.elements:
+            assert lift_gamma(TorusRep(z6, g, h), alpha).mode == "closed"
+    assert sorted(key[0] for key in lifts._STAIR_CACHE) == [1, 2, 3, 6]
 
 
 def test_gamma_lift_direct_construction_certifies():
