@@ -11,7 +11,7 @@ from .groups import (
 from .cochains import (
     Cochain, CochainReport, differential, validate_cochain, alpha_cyclic,
     pullback_cochain, coboundary_solve, parse_cochain_text, load_cochain_file)
-from .lifts import GammaLift, lift_gamma, conjugate_lift, sigma_diff, E1, E2
+from .lifts import GammaLift, lift_gamma, conjugate_lift, E1, E2
 from .moduli import (
     TorusRep, SL2Z, SurfaceRep, in_gamma1, enumerate_bundles, orbit_stabilizer,
     torus_orbits, sl2z_act, r_diff, dehn_character, klein_character,

@@ -13,7 +13,7 @@ from .cochains import Cochain, alpha_cyclic, load_cochain_file, validate_cochain
 from .errors import KleinformError
 from .groupoid_lines import (GroupoidCocycle, flat_components, load_groupoid_file,
                              validate_groupoid_cocycle)
-from .groups import cyclic, parse_group_spec
+from .groups import parse_group_spec
 from .moduli import (SL2Z, TorusRep, dehn_character, enumerate_bundles, klein_character,
                      r_diff, sections_dimension, torus_orbits)
 
@@ -50,9 +50,10 @@ def _resolve_level(group, spec):
         raise KleinformError("level must be an integer or file:<path>, got %r" % spec)
     if level == 0:
         return Cochain.zero(group, 3)
-    if group != cyclic(group.order):
+    alpha = alpha_cyclic(group.order, level)
+    if alpha.group != group:
         raise KleinformError("a nonzero integer level needs the group cyclic:n")
-    return alpha_cyclic(group.order, level)
+    return alpha
 
 
 _BARE, _LABELLED, _RECORD = "bare", "labelled", "record"

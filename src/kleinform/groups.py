@@ -59,15 +59,8 @@ class FiniteGroup:
                         raise ValidationError(
                             "associativity fails at (%d, %d, %d)" % (a, b, c)
                         )
-        inv = [None] * n
-        for i in range(n):
-            for j in range(n):
-                if table[i][j] == 0:
-                    inv[i] = j
-                    break
-        for i in range(n):
-            if table[inv[i]][i] != 0:
-                raise ValidationError("element %d has no two-sided inverse" % i)
+        # Latin rows give each i a right inverse j; identity and associativity make it two-sided
+        inv = [row.index(0) for row in table]
         self.order = n
         self.table = table
         self._inv = tuple(inv)

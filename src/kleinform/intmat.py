@@ -66,7 +66,8 @@ def solve_sparse(rows, ncols, rhs):
     in reverse retirement order, which Q/Z-divisibility always permits.  The
     first row emptied with a nonzero right-hand side is the no-solution
     certificate.  Coefficients and column indices must be int; b may hold
-    QZ, Fraction or int values, and a float raises ValidationError.
+    QZ, Fraction or int values, and anything else (a float included) raises
+    ValidationError.
     """
     nrows = len(rows)
     if len(rhs) != nrows:
@@ -81,9 +82,12 @@ def solve_sparse(rows, ncols, rhs):
             if not (0 <= c < ncols):
                 raise KleinformError("column index %r out of range" % (c,))
         work.append({c: v for c, v in r.items() if v})
-    fracs = [QZ(v).as_fraction() for v in rhs]
-    L = lcm(*(f.denominator for f in fracs))
-    b = [f.numerator * (L // f.denominator) for f in fracs]
+    for v in rhs:
+        if not isinstance(v, (int, Fraction, QZ)):
+            raise ValidationError("right-hand sides must be int, Fraction or QZ, got %r" % (v,))
+    L = lcm(*(v.denominator for v in rhs))
+    b = [v.numerator * (L // v.denominator) % L for v in rhs]
+    b0 = b[:]  # elimination rewrites b in place
 
     for i in range(nrows):
         if not work[i] and b[i]:
@@ -137,15 +141,16 @@ def solve_sparse(rows, ncols, rhs):
         x[c] = (val if s > 0 else -val) % 1
 
     solution = [QZ(v) for v in x]
-    _verify_sparse(rows, solution, fracs)
+    _verify_sparse(rows, solution, b0, L)
     return SolveResult(solution=solution)
 
 
-def _verify_sparse(rows, solution, fracs):
-    # every row checked again in integers over one common denominator D
-    D = lcm(*(v.denominator for v in solution), *(f.denominator for f in fracs))
+def _verify_sparse(rows, solution, b, L):
+    # every row checked again in integers over one common denominator D,
+    # against the right-hand sides b over L
+    D = lcm(L, *(v.denominator for v in solution))
     xs = [v.numerator * (D // v.denominator) for v in solution]
     for i, row in enumerate(rows):
         lhs = sum(v * xs[c] for c, v in row.items())
-        if (lhs - fracs[i].numerator * (D // fracs[i].denominator)) % D:
+        if (lhs - b[i] * (D // L)) % D:
             raise KleinformError("internal error: solver produced a non-solution at row %d" % i)

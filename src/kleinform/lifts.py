@@ -11,15 +11,15 @@ module produces explicit primitives gamma with
 normalized so that gamma vanishes when an argument is the origin and takes
 equal values on (e1, e2) and (e2, e1).  Two construction routes exist: a
 staircase closed formula when the image of rho is cyclic, and an exact
-linear solve over a finite window of the plane otherwise.  Closed lifts
-rest on their staircase's one certificate, which covers all of Z^2 (see
-_Staircase); every other lift re-verifies its defining equation on all
-window triples.  A failure is a CertificateError and means a bug, never
-bad input.  Alpha is read only from its integer table (alpha.L and
-alpha.ints), and lift values are Fractions in [0, 1).  No other module
-computes with these lifts: moduli reads every character from alpha, and
-the tests use this module as the reference route.  The one cache, of
-certified staircases, is unbounded; only the tests fill it.
+linear solve over a finite window of the plane otherwise or on request.
+Closed lifts rest on their staircase's one certificate, which covers all
+of Z^2 (see _Staircase); window lifts and conjugates re-verify their
+defining equation on all window triples.  A failure is a CertificateError
+and means a bug, never bad input.  Alpha is read only from its integer
+table (alpha.L and alpha.ints), and lift values are Fractions in [0, 1).
+No other module computes with these lifts: moduli reads every character
+from alpha, and the tests use this module as the reference route.  The
+one cache, of certified staircases, is unbounded; only the tests fill it.
 """
 
 from __future__ import annotations
@@ -103,21 +103,19 @@ class GammaLift:
 
     mode is "closed" (staircase formula, valid on all of Z^2 x Z^2) or
     "window" (table over [-W, W]^2 pairs; evaluating outside raises
-    WindowError).  normalized marks lifts built by lift_gamma, which in
-    addition take equal values at (e1, e2) and (e2, e1); conjugates and
-    twists drop that flag since their asymmetry there is the payload.
+    WindowError).  A closed lift's window is the box _certify checks when
+    the lift is built directly or conjugated; lift_gamma gives it 2.
     """
 
-    __slots__ = ("rep", "alpha", "window", "mode", "normalized", "_fn")
+    __slots__ = ("rep", "alpha", "window", "mode", "_fn")
 
-    def __init__(self, rep, alpha, window, mode, fn, normalized, _certified=False):
+    def __init__(self, rep, alpha, window, mode, fn, _certified=False):
         if window < 1:
             raise KleinformError("lift window must be at least 1")
         self.rep = rep
         self.alpha = alpha
         self.window = window
         self.mode = mode
-        self.normalized = normalized
         self._fn = fn
         if not _certified:
             _certify(self)
@@ -134,36 +132,6 @@ class GammaLift:
                         "point %r is outside the solved window %d" % (pt, w)
                     )
         return QZ(self._fn(a, b))
-
-    def shift_by(self, eta):
-        """The lift shifted by the exact cochain d eta.
-
-        eta maps plane points to QZ (or any exact number QZ accepts); the
-        shift adds eta(a) + eta(b) - eta(a+b), which never moves the
-        underlying cohomology data.  eta must vanish at the origin or the
-        certificate will reject the result.
-        """
-
-        def ev(pt):
-            return QZ(eta(pt)).as_fraction()
-
-        base = self._fn
-
-        def fn(a, b):
-            s = (a[0] + b[0], a[1] + b[1])
-            return (base(a, b) + ev(a) + ev(b) - ev(s)) % 1
-
-        return GammaLift(self.rep, self.alpha, self.window, self.mode, fn,
-                         self.normalized)
-
-    def twist(self, lam0):
-        """Add the antisymmetric bilinear form lam0 * (x1*y2 - y1*x2).
-
-        This walks through the classes of lifts over the same cocycle
-        without touching the defining equation.
-        """
-        return GammaLift(self.rep, self.alpha, self.window, self.mode,
-                         _twisted(self._fn, QZ(lam0).as_fraction()), normalized=False)
 
     def __repr__(self):
         return "GammaLift(mode=%s, window=%d)" % (self.mode, self.window)
@@ -204,9 +172,8 @@ def _certify(lift):
     """Re-verify the defining equation of a lift over its whole window.
 
     Checks, exactly and with no tolerance: the coboundary identity on all
-    window triples, vanishing at the origin, and (for normalized lifts)
-    equality at (e1, e2) and (e2, e1).  Raises CertificateError on any
-    mismatch; such a failure indicates an internal bug.
+    window triples and vanishing at the origin.  Raises CertificateError on
+    any mismatch; such a failure indicates an internal bug.
     """
     alpha, pts = lift.alpha, _window_points(lift.window)
     npts = len(pts)
@@ -219,10 +186,6 @@ def _certify(lift):
     for i, pt in enumerate(pts):
         if iv[origin * npts + i] % denom or iv[i * npts + origin] % denom:
             raise CertificateError("lift does not vanish against the origin at %r" % (pt,))
-
-    e1, e2 = pts.index(E1), pts.index(E2)
-    if lift.normalized and (iv[e1 * npts + e2] - iv[e2 * npts + e1]) % denom:
-        raise CertificateError("lift is not symmetric at (e1, e2)")
 
     for ab, ab_c, a_bc, bc, flat in _equations(lift.rep, lift.window):
         if (iv[ab] + iv[ab_c] - iv[a_bc] - iv[bc] - ia[flat]) % denom:
@@ -289,53 +252,33 @@ def _solve_window(rep, alpha, w):
     return table
 
 
-def lift_gamma(rep, alpha, window=None, method="auto"):
+def lift_gamma(rep, alpha, window=None):
     """Build the normalized lift of alpha pulled back along rep.
 
-    method "auto" prefers the staircase closed formula (available exactly
-    when the image of rep is cyclic) and falls back to the window solve;
-    "closed" and "window" force a route.  The default window is 2; window
-    lifts can only be evaluated inside their window, closed lifts anywhere.
-    Window lifts are certified on every construction, closed ones by their staircase.
+    With no window the lift is closed (the staircase formula, evaluable
+    anywhere) when the image of rep is cyclic, and a window-2 solve
+    otherwise; an explicit window forces the solve over [-window, window]^2,
+    outside which the lift cannot be evaluated.  Both routes are checked
+    symmetric at (e1, e2); window lifts are certified on every
+    construction, closed ones by their staircase.
     """
     _check_alpha_for(rep.group, alpha)
-    w = DEFAULT_WINDOW if window is None else int(window)
-    if w < 1:
-        raise KleinformError("window must be at least 1")
-    if method not in ("auto", "closed", "window"):
-        raise KleinformError("method must be auto, closed or window")
-
-    found = None if method == "window" else _staircase_for(rep, alpha)
-    if found is None and method == "closed":
-        raise KleinformError("closed-form lift needs a cyclic image")
+    found = _staircase_for(rep, alpha) if window is None else None
     if found is None:
+        w = DEFAULT_WINDOW if window is None else int(window)
+        if w < 1:
+            raise KleinformError("window must be at least 1")
         table = _solve_window(rep, alpha, w)
         base = lambda a, b: table[(a, b)]
     else:
         stair, p, q = found
         base = stair.gamma0(p, q)
     fn = _twisted(base, QZ(base(E2, E1) - base(E1, E2)).halve().as_fraction())
-    if found is None:
-        return GammaLift(rep, alpha, w, "window", fn, normalized=True)
     if (fn(E1, E2) - fn(E2, E1)) % 1:
         raise CertificateError("lift is not symmetric at (e1, e2)")
-    return GammaLift(rep, alpha, w, "closed", fn, normalized=True, _certified=True)
-
-
-def sigma_diff(first, second):
-    """Compare two lifts of the same rep and cocycle at the fundamental class.
-
-    Returns (first - second)(e1, e2) - (first - second)(e2, e1); exact
-    shifts cancel out of this, so it detects precisely the twist between
-    the two lifts.
-    """
-    if first.rep != second.rep:
-        raise KleinformError("sigma_diff needs lifts of the same rep")
-    if first.alpha != second.alpha:
-        raise KleinformError("sigma_diff needs lifts of the same cocycle")
-    d12 = first._fn(E1, E2) - second._fn(E1, E2)
-    d21 = first._fn(E2, E1) - second._fn(E2, E1)
-    return QZ(d12 - d21)
+    if found is None:
+        return GammaLift(rep, alpha, w, "window", fn)
+    return GammaLift(rep, alpha, DEFAULT_WINDOW, "closed", fn, _certified=True)
 
 
 def conjugate_lift(lift, z):
@@ -373,4 +316,4 @@ def conjugate_lift(lift, z):
         corr = tab[(z * n + u) * n + v] + tab[(cu * n + cv) * n + z] - tab[(cu * n + z) * n + v]
         return (base(a, b) + Fraction(corr, L)) % 1
 
-    return GammaLift(rep2, lift.alpha, lift.window, lift.mode, fn, normalized=False)
+    return GammaLift(rep2, lift.alpha, lift.window, lift.mode, fn)

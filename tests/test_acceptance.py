@@ -43,7 +43,7 @@ from kleinform.groupoid_lines import (
     validate_groupoid_cocycle,
 )
 from kleinform.intmat import xgcd
-from kleinform.lifts import GammaLift, TorusRep, _certify, has_cyclic_image, lift_gamma, sigma_diff
+from kleinform.lifts import GammaLift, TorusRep, has_cyclic_image, lift_gamma
 from kleinform.moduli import (
     SL2Z,
     SurfaceRep,
@@ -188,10 +188,11 @@ def test_closed_lifts_pass_the_window_certificate():
                     rep = TorusRep(grp, g, h)
                     if not has_cyclic_image(rep):
                         continue
+                    lift = lift_gamma(rep, alpha)
+                    assert (lift.mode, lift.window) == ("closed", 2)
                     for w in windows:
-                        lift = lift_gamma(rep, alpha, window=w)
-                        assert (lift.mode, lift.window) == ("closed", w)
-                        _certify(lift)
+                        # a direct construction runs the full window certificate
+                        GammaLift(rep, alpha, w, "closed", lift._fn)
                         checked += 1
     assert checked == 267
 
@@ -257,13 +258,15 @@ def test_integer_cochains_match_qz_reference():
 
 def test_lift_certificates_and_route_agreement():
     """Both lift routes satisfy the defining coboundary equation, agree on
-    sigma and on every pairing value, and a broken lift is refused."""
+    the asymmetry at (e1, e2) and on every pairing value, and a broken lift
+    is refused."""
     grp = cyclic(4)
     alpha = alpha_cyclic(4, 1)
     rep = TorusRep(grp, 1, 2)
-    fast = lift_gamma(rep, alpha, method="closed")
-    slow = lift_gamma(rep, alpha, window=2, method="window")
-    assert sigma_diff(fast, slow) == QZ(0)
+    fast = lift_gamma(rep, alpha)
+    slow = lift_gamma(rep, alpha, window=2)
+    assert (fast.mode, slow.mode) == ("closed", "window")
+    assert _asymmetry(fast, SL2Z.identity()) == _asymmetry(slow, SL2Z.identity()) == QZ(0)
     mats = (SL2Z.T(), SL2Z.S(), SL2Z.T() ** 2, SL2Z.S() @ SL2Z.T())
     for mat in mats:
         # the asymmetry at (M e2, M e1) that r_diff reads off a lift
@@ -292,8 +295,7 @@ def test_lift_certificates_and_route_agreement():
         assert lhs == alpha(rep.image(*a), rep.image(*b), rep.image(*c))
 
     with pytest.raises(CertificateError):
-        GammaLift(rep, alpha, 2, "window", lambda a, b: Fraction(1, 3),
-                  normalized=False)
+        GammaLift(rep, alpha, 2, "window", lambda a, b: Fraction(1, 3))
 
 
 def test_character_homomorphism_and_conjugation_covariance():

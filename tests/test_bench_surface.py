@@ -3,9 +3,10 @@
 bench/tracing.py wraps module attributes by name and bench/worker.py
 imports from several modules, so deleting or renaming one of them breaks
 `bench/run.py --trace 1` and the worker without failing any other test.
-The check runs in a subprocess because tracing.install() rebinds module
-attributes for the rest of the process; it reads bench/ and changes
-nothing there.
+The probe also builds a window lift, a closed lift and a conjugate of each
+under the tracer, so its call hooks meet the real signatures.  The check
+runs in a subprocess because tracing.install() rebinds module attributes
+for the rest of the process; it reads bench/ and changes nothing there.
 """
 
 import os
@@ -21,8 +22,24 @@ import ast, importlib, os, sys
 bench, src = sys.argv[1:3]
 sys.path[:0] = [bench, src]
 import tracing
-tracing.install()
-from kleinform.lifts import TorusRep
+tracer = tracing.install()
+from kleinform.cochains import Cochain, alpha_cyclic
+from kleinform.groups import cyclic, klein4
+from kleinform.lifts import TorusRep, conjugate_lift, lift_gamma
+v4 = klein4()
+window = lift_gamma(TorusRep(v4, 1, 2), Cochain.zero(v4, 3))
+closed = lift_gamma(TorusRep(cyclic(3), 1, 0), alpha_cyclic(3, 1))
+assert (window.mode, closed.mode) == ("window", "closed")
+for lift in (window, closed):
+    conjugate_lift(lift, 1)
+m = tracer.metrics()
+seen = {key: m[key] for key in ("intmat.solve_sparse.calls", "lifts.lift_gamma.calls",
+                                "lifts.conjugate_lift.calls", "lifts.certificates",
+                                "lifts.window_max")}
+assert seen == {"intmat.solve_sparse.calls": 1, "lifts.lift_gamma.calls": 2,
+                "lifts.conjugate_lift.calls": 2, "lifts.certificates": 3,
+                "lifts.window_max": 2}, seen
+assert m["intmat.solve_sparse.unknowns"] > 0 and m["intmat.solve_sparse.rows"] > 0, m
 with open(os.path.join(bench, "worker.py"), encoding="utf-8") as fh:
     tree = ast.parse(fh.read())
 for node in ast.walk(tree):

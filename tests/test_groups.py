@@ -62,6 +62,9 @@ def test_validation_rejects_bad_tables():
     # index 0 must be the identity
     with pytest.raises(ValidationError):
         FiniteGroup([[1, 0], [0, 1]])
+    # a unital associative table whose 1 has no inverse fails as a non-Latin row
+    with pytest.raises(ValidationError, match="row 1 is not a permutation"):
+        FiniteGroup([[0, 1], [1, 1]])
 
 
 def test_validation_rejects_nonassociative_loop():

@@ -1,4 +1,5 @@
 import random
+from itertools import product
 
 import pytest
 
@@ -26,7 +27,6 @@ from kleinform.lifts import (
     conjugate_lift,
     has_cyclic_image,
     lift_gamma,
-    sigma_diff,
 )
 from kleinform.qz import QZ
 
@@ -104,7 +104,7 @@ def test_lift_symmetry_at_fundamental_class():
     ]
     for group, alpha, (g, h) in cases:
         lift = lift_gamma(TorusRep(group, g, h), alpha)
-        assert lift.normalized
+        assert (lift.mode, lift.window) == ("closed", 2)
         assert lift.evaluate(E1, E2) == lift.evaluate(E2, E1)
 
 
@@ -118,8 +118,6 @@ def test_lift_input_validation():
         lift_gamma(rep, Cochain.zero(z3, 2))
     with pytest.raises(KleinformError):
         lift_gamma(rep, alpha, window=0)
-    with pytest.raises(KleinformError):
-        lift_gamma(rep, alpha, method="guess")
     not_closed = Cochain.from_function(
         z3, 3, lambda a, b, c: QZ(1, 3) if (a, b, c) == (1, 1, 2) else QZ(0)
     )
@@ -135,8 +133,6 @@ def test_window_mode_bounds():
     assert lift.evaluate((2, 2), (-2, 0)) == QZ(0)
     with pytest.raises(WindowError):
         lift.evaluate((3, 0), E1)
-    with pytest.raises(KleinformError):
-        lift_gamma(rep, alpha, method="closed")
 
 
 def test_closed_mode_has_no_bounds():
@@ -145,58 +141,24 @@ def test_closed_mode_has_no_bounds():
     assert lift.evaluate((9, 0), (40, 0)) == QZ(0)
 
 
-def test_sigma_diff_same_lift():
-    lift = lift_gamma(TorusRep(cyclic(3), 1, 0), alpha_cyclic(3, 1))
-    assert sigma_diff(lift, lift) == QZ(0)
+def _asymmetry(lift, p1, p2):
+    return lift.evaluate(p1, p2) - lift.evaluate(p2, p1)
 
 
-def test_sigma_diff_ignores_exact_shifts():
-    lift = lift_gamma(TorusRep(cyclic(4), 1, 0), alpha_cyclic(4, 1))
-    shifted = lift.shift_by(lambda pt: QZ(pt[0], 4))
-    assert sigma_diff(shifted, lift) == QZ(0)
-    # a nonlinear eta has a visible coboundary, but sigma still cancels it
-    quad = lift.shift_by(lambda pt: QZ(pt[0] * pt[0] + pt[1], 4))
-    assert sigma_diff(quad, lift) == QZ(0)
-    a, b = (1, 0), (1, 0)
-    delta = QZ(1, 4) + QZ(1, 4) - QZ(4, 4)
-    assert delta != QZ(0)
-    assert quad.evaluate(a, b) == lift.evaluate(a, b) + delta
-
-
-def test_sigma_diff_sees_twists():
-    lift = lift_gamma(TorusRep(cyclic(3), 1, 0), alpha_cyclic(3, 1))
-    twisted = lift.twist(QZ(1, 3))
-    assert not twisted.normalized
-    assert sigma_diff(twisted, lift) == QZ(2, 3)
-    assert sigma_diff(lift.twist(QZ(1, 2)), lift) == QZ(0)
-
-
-def test_sigma_diff_mismatch_errors():
-    alpha = alpha_cyclic(3, 1)
-    l1 = lift_gamma(TorusRep(cyclic(3), 1, 0), alpha)
-    l2 = lift_gamma(TorusRep(cyclic(3), 2, 0), alpha)
-    with pytest.raises(KleinformError):
-        sigma_diff(l1, l2)
-    l3 = lift_gamma(TorusRep(cyclic(3), 1, 0), alpha_cyclic(3, 2))
-    with pytest.raises(KleinformError):
-        sigma_diff(l1, l3)
+BOX = list(product(range(-2, 3), repeat=2))
 
 
 def test_fast_and_window_routes_agree():
     alpha = alpha_cyclic(4, 1)
     rep = TorusRep(cyclic(4), 1, 2)
-    fast = lift_gamma(rep, alpha, method="closed")
-    slow = lift_gamma(rep, alpha, window=2, method="window")
-    assert fast.mode == "closed" and slow.mode == "window"
-    assert sigma_diff(fast, slow) == QZ(0)
-
-
-def test_shift_and_twist_refuse_floats():
-    lift = lift_gamma(TorusRep(cyclic(3), 1, 0), alpha_cyclic(3, 1))
-    with pytest.raises(ValidationError):
-        lift.twist(0.5)
-    with pytest.raises(ValidationError):
-        lift.shift_by(lambda pt: 0.0)
+    fast = lift_gamma(rep, alpha)
+    # an explicit window forces the solve even on a cyclic image
+    slow = lift_gamma(rep, alpha, window=2)
+    assert (fast.mode, fast.window) == ("closed", 2)
+    assert (slow.mode, slow.window) == ("window", 2)
+    for p1 in BOX:
+        for p2 in BOX:
+            assert _asymmetry(fast, p1, p2) == _asymmetry(slow, p1, p2)
 
 
 def test_lifts_read_alpha_from_its_integer_table():
@@ -218,9 +180,15 @@ def test_lifts_read_alpha_from_its_integer_table():
 
 
 def test_shift_must_fix_origin():
+    # adding the coboundary of the constant 1/4 keeps the defining equation
+    # but moves the value against the origin
     lift = lift_gamma(TorusRep(cyclic(3), 1, 0), alpha_cyclic(3, 1))
-    with pytest.raises(CertificateError):
-        lift.shift_by(lambda pt: QZ(1, 4))
+
+    def shifted(a, b):
+        return (lift._fn(a, b) + QZ(1, 4).as_fraction()) % 1
+
+    with pytest.raises(CertificateError, match="origin"):
+        GammaLift(lift.rep, lift.alpha, 2, "closed", shifted)
 
 
 def test_conjugate_by_identity():
@@ -280,7 +248,10 @@ def test_conjugate_there_and_back():
         there = conjugate_lift(lift, z)
         back = conjugate_lift(there, s3.inv(z))
         assert back.rep == lift.rep
-        assert sigma_diff(back, lift) == QZ(0)
+        # there and back differs from the lift by an exact, hence symmetric, cochain
+        for p1 in BOX:
+            for p2 in BOX:
+                assert _asymmetry(back, p1, p2) == _asymmetry(lift, p1, p2)
 
 
 def test_conjugate_rejects_outside_element():
@@ -319,4 +290,4 @@ def test_gamma_lift_direct_construction_certifies():
         return QZ(1, 3).as_fraction()
 
     with pytest.raises(CertificateError):
-        GammaLift(rep, alpha, 2, "window", bogus, normalized=False)
+        GammaLift(rep, alpha, 2, "window", bogus)

@@ -166,7 +166,7 @@ def test_r_diff_matches_window_three_lift():
     alpha = pullback_cochain(alpha_cyclic(2, 1), h)
     rep = TorusRep(v4, 1, 2)
     wide = SL2Z(1, 2, 0, 1)
-    direct = lift_gamma(rep, alpha, window=3, method="window")
+    direct = lift_gamma(rep, alpha, window=3)
     assert r_diff(rep, alpha, wide) == _asymmetry(direct, wide)
     # the default window-2 lift has the same asymmetry on its whole box
     narrow = lift_gamma(rep, alpha)
@@ -217,7 +217,7 @@ def test_st_route_matches_direct_lift():
     v8, cup = _cup_alpha_v8()
     rep = TorusRep(v8, 6, 1)
     assert not has_cyclic_image(rep)
-    direct = lift_gamma(rep, cup, window=3, method="window")
+    direct = lift_gamma(rep, cup, window=3)
     mats = [
         SL2Z(*e)
         for e in product(range(-2, 3), repeat=4)
