@@ -22,8 +22,9 @@ normalization are computed once and kept on the cochain.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, repeat
 from math import gcd, lcm
+from operator import and_, rshift
 
 from .errors import KleinformError, ValidationError
 from .groups import MAX_ORDER, FiniteGroup, cyclic, parse_group_spec, read_lines
@@ -195,14 +196,93 @@ class CochainReport:
 def is_closed(c):
     """True when dc = 0.  Only meaningful for degrees 0..3.
 
-    Reads the differential row by row over the integer table and stops at
-    the first row with an entry not divisible by L.  Cochains are immutable
-    and closedness is rechecked on entry to every pairing routine, so the
-    result is kept on c.
+    Cochains are immutable and closedness is rechecked on entry to every
+    pairing routine, so the result is kept on c.  Degrees 0 to 2, and
+    groups of order over 256 (whose elements do not fit in a byte), read
+    the differential row by row and stop at the first row with an entry
+    not divisible by L.  Degree 3 on smaller groups packs the integer
+    table into big integers, one per first argument a, as below; the
+    per-entry rows stay the reference route (differential) in the tests.
+
+    Take w bytes per field with B = 256**w > 5L, and for a fixed a write
+    the five terms of dc over (b, c, d) as integers with one field per
+    flat index k of (b, c, d): P1 from c(b, c, d), P2 from c(ab, c, d),
+    P3 from c(a, bc, d), P4 from c(a, b, cd) and P5 from c(a, b, c),
+    so Pi = sum of x_i(k) B**k with every x_i(k) in 0..L-1 < B.  Let ONES
+    be the sum of B**k over the n**3 fields, and
+
+        S = P1 - P2 + P3 - P4 + P5 + 2L ONES = sum of t(k) B**k,
+        t(k) = dc(a, b, c, d) + 2L   (the integer dc, before reduction).
+
+    1. Packing is linear: each Pi is exactly the sum of its fields times
+       B**k, so S equals the sum on the right, whatever the signs.
+    2. Each x lies in 0..L-1, so t(k) lies in [2L - 2(L-1), 2L + 3(L-1)],
+       inside (0, 5L) and so inside [0, B): the t(k) are the base-B
+       digits of S.  dc vanishes at (a, b, c, d) mod L exactly when t(k)
+       is L, 2L, 3L or 4L.
+    3. If every t(k) is such, S % L == 0 and K = S // L has base-B digits
+       1..4, so K - ONES >= 0 has digits 0..3: bits only where 3 ONES has
+       them.  Conversely, if S % L == 0, K >= ONES and (K - ONES) | 3 ONES
+       == 3 ONES, then K - ONES is a sum of e(k) B**k with e(k) in 0..3
+       (3 ONES has bits only in the two low bits of each field), so
+       S = sum of L (e(k) + 1) B**k with every L (e(k) + 1) <= 4L < B.
+       Base-B digits are unique, so t(k) = L (e(k) + 1) for every k.
+
+    The terms come from C-level primitives: P1 and the rows and blocks
+    behind P2 and P3 from one w-byte big-endian encoding of the table,
+    joined in the order of the group law; P4 and P5 one byte plane at a
+    time, translating the fixed index strings of c*d and of c through
+    the row c(a, b, .) of each plane.
     """
     if c._closed is None:
-        c._closed = not any(map(any, _diff_rows(c)))
+        if c.degree == 3 and c.group.order <= 256:
+            c._closed = _closed_degree3(c)
+        else:
+            c._closed = not any(map(any, _diff_rows(c)))
     return c._closed
+
+
+def _closed_degree3(c):
+    """is_closed on a degree-3 cochain, one packed block per first argument."""
+    n, L, tab, mul = c.group.order, c.L, c.ints, c.group.table
+    w = 1
+    while 256**w <= 5 * L:
+        w += 1
+    n2, size = n * n, n**3
+    planes, rest = [], tab  # planes[j]: byte j (most significant first) of each entry
+    for _ in range(w - 1):
+        planes.append(bytes(map(and_, rest, repeat(255))))
+        rest = list(map(rshift, rest, repeat(8)))
+    planes.append(bytes(rest))
+    planes.reverse()
+    enc = bytearray(size * w)
+    for j, plane in enumerate(planes):
+        enc[j::w] = plane
+    unpack = int.from_bytes
+    ones = unpack((bytes(w - 1) + b"\1") * size, "big")
+    three = 3 * ones
+    base = unpack(enc, "big") + 2 * L * ones
+    bw, rw = n2 * w, n * w
+    blocks = [enc[i:i + bw] for i in range(0, size * w, bw)]
+    products = [e for row in mul for e in row]  # c*d at the flat place of (c, d)
+    at_cd, at_c = bytes(products), bytes(x for x in range(n) for _ in range(n))
+    pad = bytes(256 - n)
+    t4, t5 = bytearray(size * w), bytearray(size * w)
+    for a in range(n):
+        block = blocks[a]
+        rows = [block[i:i + rw] for i in range(0, bw, rw)]
+        for j, plane in enumerate(planes):
+            part = plane[a * n2:a * n2 + n2]
+            tables = [part[i:i + n] + pad for i in range(0, n2, n)]
+            t4[j::w] = b"".join([at_cd.translate(t) for t in tables])
+            t5[j::w] = b"".join([at_c.translate(t) for t in tables])
+        k, r = divmod(base - unpack(b"".join(map(blocks.__getitem__, mul[a])), "big")
+                      + unpack(b"".join(map(rows.__getitem__, products)), "big")
+                      - unpack(t4, "big") + unpack(t5, "big"), L)
+        k -= ones
+        if r or k < 0 or k | three != three:
+            return False
+    return True
 
 
 def is_normalized(c):

@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the check that refuses non-integers."""
+
+from operator import index
 
 
 class KleinformError(Exception):
@@ -15,3 +17,15 @@ class WindowError(KleinformError):
 
 class CertificateError(KleinformError):
     """An internal re-verification failed.  This is a bug, not a user error."""
+
+
+def exact_int(value, what):
+    """value as an int, or ValidationError when it is not an integer.
+
+    A float, or any other value that int() would truncate or parse, is
+    refused rather than rounded to an index, as QZ refuses floats.
+    """
+    try:
+        return index(value)
+    except TypeError:
+        raise ValidationError("%s must be an integer, not %r" % (what, value)) from None

@@ -28,7 +28,7 @@ from fractions import Fraction
 from itertools import accumulate, product
 from math import gcd, lcm
 
-from .errors import CertificateError, KleinformError, WindowError
+from .errors import CertificateError, KleinformError, WindowError, exact_int
 from .groups import closure, cyclic_generator
 from .intmat import solve_sparse
 from .moduli import TorusRep, _check_alpha_for
@@ -122,8 +122,8 @@ class GammaLift:
 
     def evaluate(self, a, b):
         """The lift value at a pair of plane points, as a QZ residue."""
-        a = (int(a[0]), int(a[1]))
-        b = (int(b[0]), int(b[1]))
+        a = (exact_int(a[0], "plane point"), exact_int(a[1], "plane point"))
+        b = (exact_int(b[0], "plane point"), exact_int(b[1], "plane point"))
         if self.mode == "window":
             w = self.window
             for pt in (a, b):
@@ -265,7 +265,7 @@ def lift_gamma(rep, alpha, window=None):
     _check_alpha_for(rep.group, alpha)
     found = _staircase_for(rep, alpha) if window is None else None
     if found is None:
-        w = DEFAULT_WINDOW if window is None else int(window)
+        w = DEFAULT_WINDOW if window is None else exact_int(window, "lift window")
         if w < 1:
             raise KleinformError("window must be at least 1")
         table = _solve_window(rep, alpha, w)
@@ -300,7 +300,7 @@ def conjugate_lift(lift, z):
     """
     rep = lift.rep
     grp = rep.group
-    z = int(z)
+    z = exact_int(z, "conjugating element")
     if not (0 <= z < grp.order):
         raise KleinformError("conjugating element outside the group")
     rep2 = TorusRep(grp, grp.conj(z, rep.g), grp.conj(z, rep.h))

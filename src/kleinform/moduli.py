@@ -19,7 +19,7 @@ from __future__ import annotations
 from itertools import product
 
 from .cochains import Cochain, is_closed, is_normalized
-from .errors import KleinformError, ValidationError
+from .errors import KleinformError, ValidationError, exact_int
 from .groups import centralizer
 from .qz import QZ
 
@@ -323,7 +323,7 @@ def dehn_character(group, element, alpha):
     j < n.  The tests check it against that sum and the closed lift.
     """
     _check_alpha_for(group, alpha)
-    element = int(element)
+    element = exact_int(element, "element")
     if not (0 <= element < group.order):
         raise KleinformError("element index outside the group")
     twist = SL2Z(1, group.order_of(element), 0, 1)
@@ -376,7 +376,7 @@ def holonomy_cocycle_R(rep, alpha, z):
     cancels.  The tests keep the lift route as the oracle.
     """
     _check_alpha_for(rep.group, alpha)
-    z = int(z)
+    z = exact_int(z, "conjugating element")
     if not (0 <= z < rep.group.order):
         raise KleinformError("conjugating element outside the group")
     return QZ(_holonomy_scaled(rep.group, alpha.ints, rep.g, rep.h, z), alpha.L)

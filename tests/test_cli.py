@@ -97,6 +97,12 @@ def test_verify_alpha_csv(capsys):
     assert out == "closed,normalized\nyes,yes\n"
 
 
+def test_verify_alpha_largest_group(capsys):
+    # the largest table a spec may name: 48**3 entries, 48**4 differential values
+    rc, out, err = run(capsys, ["verify-alpha", "--group", "cyclic:48", "--level", "5"])
+    assert (rc, out, err) == (0, "closed: yes\nnormalized: yes\n", "")
+
+
 def test_verify_alpha_rejects_open_cochain(tmp_path, capsys):
     path = tmp_path / "open.cochain"
     path.write_text("group cyclic:3 degree 3\n1 1 2 1/3\n")
@@ -266,6 +272,12 @@ def test_dim_cyclic_level(capsys):
                                 "--format", "csv"])
     assert rc == 0
     assert out == "value\n9\n"
+
+
+def test_dim_largest_group(capsys):
+    # every commuting pair of Z/48 is flat at level 5, so the count is 48**2
+    rc, out, err = run(capsys, ["dim", "--group", "cyclic:48", "--level", "5"])
+    assert (rc, out, err) == (0, "2304\n", "")
 
 
 def test_groupoid_check_valid(capsys):

@@ -18,7 +18,8 @@ from kleinform.cochains import (
     validate_cochain,
 )
 from kleinform.errors import KleinformError, ValidationError
-from kleinform.groups import GroupHom, cyclic, dicyclic, direct_product, klein4, symmetric3
+from kleinform.groups import (GroupHom, alternating4, cyclic, dicyclic, dihedral, direct_product,
+                              klein4, symmetric3)
 from kleinform.moduli import SL2Z, TorusRep, r_diff
 from kleinform.qz import QZ
 
@@ -99,6 +100,19 @@ def _differential_three_by_hand(c, a, b, cc, d):
         - c(a, b, g.mul(cc, d))
         + c(a, b, cc)
     )
+
+
+def _closed_by_five_terms(c):
+    """Every entry of dc is 0 mod L, read term by term from the integer table."""
+    n, L, tab, mul = c.group.order, c.L, c.ints, c.group.table
+
+    def at(x, y, z):
+        return tab[(x * n + y) * n + z]
+
+    return all(
+        (at(b, cc, d) - at(mul[a][b], cc, d) + at(a, mul[b][cc], d)
+         - at(a, b, mul[cc][d]) + at(a, b, cc)) % L == 0
+        for a in range(n) for b in range(n) for cc in range(n) for d in range(n))
 
 
 def test_differential_degree_three_by_hand():
@@ -190,25 +204,45 @@ def _cup_alpha_v8():
 
 def test_is_closed_agrees_with_full_differential_on_perturbations():
     # one entry of a closed cocycle moved at the first, the last and random
-    # flat indices; is_closed stops early, the oracles read every entry
+    # flat indices; is_closed packs whole blocks, the oracles read every entry
     rnd = random.Random(23)
     cube = load_cochain_file(os.path.join(DATA, "s3_cubetwist.cochain"))
-    closed = []
-    for group, alpha in ((cube.group, cube), _cup_alpha_v8()):
+    cases = []
+    for alpha in (cube, _cup_alpha_v8()[1]):
         assert is_closed(alpha)
+        cases.append((alpha, 6))
+    # closed coboundaries d(beta) over L = 51 (one-byte fields), 52 (the
+    # least L with two-byte fields) and 3**50, bumped by a multiple of 1/L
+    groups = (cyclic(1), symmetric3(), dihedral(4), dicyclic(2), alternating4())
+    for group in groups:
+        for L in (51, 52, 3**50):
+            n = group.order
+            beta = Cochain(group, 2, [QZ(rnd.randrange(L), L) for _ in range(n * n)])
+            coboundary = differential(beta)
+            assert coboundary.L == (L if n > 1 else 1)
+            assert is_closed(coboundary) and _closed_by_five_terms(coboundary)
+            cases.append((coboundary, L))
+    tables = []
+    for alpha, L in cases:
         size = len(alpha.values)
         for flat in [0, size - 1] + [rnd.randrange(size) for _ in range(6)]:
             values = list(alpha.values)
-            values[flat] += QZ(rnd.randrange(1, 6), 6)
-            bumped = Cochain(group, 3, values)
-            by_hand = all(
-                not _differential_three_by_hand(bumped, a, b, cc, d)
-                for a in group.elements for b in group.elements
-                for cc in group.elements for d in group.elements)
-            assert is_closed(bumped) == by_hand == all(
-                not v for v in differential(bumped).values)
-            closed.append(by_hand)
-    assert not all(closed)
+            values[flat] += QZ(rnd.randrange(1, L), L)
+            tables.append(Cochain(alpha.group, 3, values))
+    # every entry 0 or L - 1 puts the biased fields of the packed sums at
+    # their extremes, 2 and 5L - 3
+    for group in groups[:4]:
+        for L in (1, 2, 51, 52, 256, 3**50):
+            for _ in range(3):
+                n = group.order
+                tables.append(Cochain(group, 3, [QZ(rnd.choice((0, L - 1)), L)
+                                                 for _ in range(n**3)]))
+    closed = []
+    for c in tables:
+        by_hand = _closed_by_five_terms(c)
+        assert is_closed(c) == by_hand == all(not v for v in differential(c).values)
+        closed.append(by_hand)
+    assert any(closed) and not all(closed)
 
 
 def test_validation_keeps_no_reference_to_the_cochain():

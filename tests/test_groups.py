@@ -81,6 +81,12 @@ def test_validation_rejects_nonassociative_loop():
     assert "associativity" in str(exc.value)
 
 
+def test_table_refuses_floats():
+    for table in ([[0, 1], [1, 0.0]], [[0, 1], [1.5, 0]]):
+        with pytest.raises(ValidationError, match="table entries must be integers"):
+            FiniteGroup(table)
+
+
 def test_symmetric3_structure():
     s3 = symmetric3()
     assert s3.order == 6
@@ -179,6 +185,11 @@ def test_hom_validation():
     assert t.images == (0, 0, 0, 0)
 
 
+def test_hom_refuses_float_images():
+    with pytest.raises(ValidationError, match="images must be integers"):
+        GroupHom(cyclic(4), cyclic(2), [0, 1.0, 0, 1])
+
+
 def test_hom_counts_cyclic():
     # the number of homomorphisms Z/n -> Z/m is gcd(n, m)
     for n in range(1, 7):
@@ -216,6 +227,139 @@ def test_random_tables_validate():
         ]
         g = FiniteGroup(table)
         assert sorted(g.order_of(x) for x in g.elements) == [1, 2, 2, 2, 3, 3]
+
+
+def _first_table_error(table):
+    """The first message of the per-entry checks, in their order, or None."""
+    n = len(table)
+    if n == 0:
+        return "empty multiplication table"
+    for row in table:
+        if len(row) != n:
+            return "multiplication table is not square"
+        for v in row:
+            if not (0 <= v < n):
+                return "table entry %d outside 0..%d" % (v, n - 1)
+    full = frozenset(range(n))
+    for i in range(n):
+        if frozenset(table[i]) != full:
+            return "row %d is not a permutation" % i
+        if frozenset(table[j][i] for j in range(n)) != full:
+            return "column %d is not a permutation" % i
+    for i in range(n):
+        if table[0][i] != i or table[i][0] != i:
+            return "index 0 does not act as identity"
+    for a in range(n):
+        for b in range(n):
+            for c in range(n):
+                if table[table[a][b]][c] != table[a][table[b][c]]:
+                    return "associativity fails at (%d, %d, %d)" % (a, b, c)
+    return None
+
+
+def _first_hom_error(source, target, images):
+    if len(images) != source.order:
+        return "image list has wrong length"
+    for v in images:
+        if not (0 <= v < target.order):
+            return "image %d outside the target group" % v
+    for a in source.elements:
+        for b in source.elements:
+            if images[source.mul(a, b)] != target.mul(images[a], images[b]):
+                return "not a homomorphism at the pair (%d, %d)" % (a, b)
+    return None
+
+
+def _message(make):
+    try:
+        make()
+    except ValidationError as exc:
+        return str(exc)
+    return None
+
+
+def _intercalates(table):
+    """Rows i, j and columns k, l, none the identity, with a 2x2 Latin subsquare."""
+    n = len(table)
+    return [(i, j, k, l) for i in range(1, n) for j in range(i + 1, n)
+            for k in range(1, n) for l in range(k + 1, n)
+            if table[i][k] == table[j][l] and table[i][l] == table[j][k]]
+
+
+def _corrupted_tables(rnd, table):
+    n = len(table)
+    rows = [list(row) for row in table]
+    i, j = rnd.randrange(n), rnd.randrange(n)
+    out = []
+    # an entry out of range
+    bad = [row[:] for row in rows]
+    bad[i][j] = rnd.choice((-1, n, n + 3))
+    out.append(bad)
+    # a row entry repeated (it repeats a column entry as well)
+    bad = [row[:] for row in rows]
+    bad[i][j] = bad[i][rnd.randrange(n)]
+    out.append(bad)
+    # a column entry repeated
+    bad = [row[:] for row in rows]
+    bad[i][j] = bad[rnd.randrange(n)][j]
+    out.append(bad)
+    # a short row and an extra row
+    out.append([row[:] for row in rows[:-1]] + [rows[-1][:-1]])
+    out.append([row[:] for row in rows] + [rows[0][:]])
+    # the identity moved: the same group relabelled by a permutation that moves 0
+    perm = list(range(n))
+    rnd.shuffle(perm)
+    relabelled = [[0] * n for _ in range(n)]
+    for x in range(n):
+        for y in range(n):
+            relabelled[perm[x]][perm[y]] = perm[rows[x][y]]
+    out.append(relabelled)
+    # a Latin square whose row 0 alone, or column 0 alone, is the identity's
+    shuffled = rows[:1] + rnd.sample(rows[1:], n - 1)
+    out.append([row[:] for row in shuffled])
+    out.append([list(col) for col in zip(*shuffled)])
+    # a Latin square with identity 0, usually not associative: one 2x2
+    # Latin subsquare away from the identity row and column, switched
+    switches = _intercalates(table)
+    if switches:
+        i, j, k, l = rnd.choice(switches)
+        bad = [row[:] for row in rows]
+        bad[i][k], bad[i][l], bad[j][k], bad[j][l] = bad[i][l], bad[i][k], bad[j][l], bad[j][k]
+        out.append(bad)
+    return out
+
+
+def test_validation_messages_match_the_per_entry_checks():
+    # the row-at-a-time checks raise the message the per-entry checks raise first
+    rnd = random.Random(15)
+    groups = [cyclic(1), cyclic(2), cyclic(3), klein4(), cyclic(5), symmetric3(),
+              dihedral(4), dicyclic(2), direct_product(klein4(), cyclic(2)), alternating4()]
+    seen = set()
+    for _ in range(8):
+        for group in groups:
+            for bad in _corrupted_tables(rnd, group.table):
+                want = _first_table_error(bad)
+                assert _message(lambda: FiniteGroup(bad)) == want
+                seen.add(want.split()[0] if want else None)
+    assert {"table", "row", "column", "multiplication", "index", "associativity"} <= seen
+    loop = [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 3, 4, 0, 1], [3, 4, 1, 2, 0], [4, 2, 0, 1, 3]]
+    assert _message(lambda: FiniteGroup(loop)) == _first_table_error(loop)
+    seen = set()
+    for _ in range(4):
+        for source in groups:
+            for target in groups[:6]:
+                homs = all_homs(source, target)
+                images = list(rnd.choice(homs).images)
+                cases = [images[:-1], images + [0]]
+                for _ in range(3):
+                    bad = images[:]
+                    bad[rnd.randrange(source.order)] = rnd.randrange(-1, target.order + 1)
+                    cases.append(bad)
+                for bad in cases:
+                    want = _first_hom_error(source, target, bad)
+                    assert _message(lambda: GroupHom(source, target, bad)) == want
+                    seen.add(want.split()[0] if want else None)
+    assert {"image", "not", None} <= seen
 
 
 def test_parse_group_text_round_trip():

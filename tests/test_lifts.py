@@ -125,6 +125,21 @@ def test_lift_input_validation():
         lift_gamma(rep, not_closed)
 
 
+def test_lift_gamma_refuses_a_float_window():
+    rep = TorusRep(klein4(), 1, 2)
+    alpha = Cochain.zero(klein4(), 3)
+    with pytest.raises(ValidationError, match="lift window must be an integer, not 1.9"):
+        lift_gamma(rep, alpha, window=1.9)
+
+
+def test_evaluate_refuses_float_points():
+    lift = lift_gamma(TorusRep(klein4(), 1, 2), Cochain.zero(klein4(), 3), window=1)
+    assert lift.evaluate((1, 0), (0, 1)) == QZ(0)
+    for a, b in (((1.7, 0), (0.2, 1)), ((1, 0), (0, 1.0))):
+        with pytest.raises(ValidationError, match="plane point must be an integer"):
+            lift.evaluate(a, b)
+
+
 def test_window_mode_bounds():
     rep = TorusRep(klein4(), 1, 2)
     alpha = Cochain.zero(klein4(), 3)
@@ -258,6 +273,12 @@ def test_conjugate_rejects_outside_element():
     lift = lift_gamma(TorusRep(cyclic(3), 1, 0), alpha_cyclic(3, 1))
     with pytest.raises(KleinformError):
         conjugate_lift(lift, 7)
+
+
+def test_conjugate_refuses_a_float_element():
+    lift = lift_gamma(TorusRep(cyclic(3), 1, 0), alpha_cyclic(3, 1))
+    with pytest.raises(ValidationError, match="conjugating element must be an integer"):
+        conjugate_lift(lift, 1.0)
 
 
 def test_staircase_certificate_rejects_a_corrupted_table():

@@ -282,6 +282,11 @@ def test_dehn_character_examples():
         dehn_character(cyclic(3), 5, alpha_cyclic(3, 1))
 
 
+def test_dehn_character_refuses_a_float_element():
+    with pytest.raises(ValidationError, match="element must be an integer, not 1.5"):
+        dehn_character(cyclic(3), 1.5, alpha_cyclic(3, 1))
+
+
 def test_dehn_matches_r_diff_quick():
     # both against the T^ord block summed here, apart from r_diff's walk
     for n, level in ((2, 1), (3, 1), (4, 3), (6, 5)):
@@ -329,6 +334,12 @@ def test_holonomy_trivial_cases():
     assert holonomy_cocycle_R(diag, alpha_cyclic(2, 1), 1) == QZ(0)
     with pytest.raises(KleinformError):
         holonomy_cocycle_R(rep, alpha, 3)
+
+
+def test_holonomy_refuses_a_float_element():
+    rep = TorusRep(cyclic(3), 1, 0)
+    with pytest.raises(ValidationError, match="conjugating element must be an integer"):
+        holonomy_cocycle_R(rep, alpha_cyclic(3, 1), 1.0)
 
 
 def _coboundary_alpha_s3():
