@@ -32,6 +32,9 @@ from .intmat import solve_sparse
 from .qz import QZ
 
 MAX_DEGREE = 4
+# is_closed packs degree-3 tables only while 5L < _PACKED_BOUND, so each
+# field of its packed sums is at most 8 bytes
+_PACKED_BOUND = 256**8
 
 
 class Cochain:
@@ -197,12 +200,15 @@ def is_closed(c):
     """True when dc = 0.  Only meaningful for degrees 0..3.
 
     Cochains are immutable and closedness is rechecked on entry to every
-    pairing routine, so the result is kept on c.  Degrees 0 to 2, and
-    groups of order over 256 (whose elements do not fit in a byte), read
-    the differential row by row and stop at the first row with an entry
-    not divisible by L.  Degree 3 on smaller groups packs the integer
-    table into big integers, one per first argument a, as below; the
-    per-entry rows stay the reference route (differential) in the tests.
+    pairing routine, so the result is kept on c.  Degree 3 with 5L below
+    256**8, on a group of order at most 256 (whose elements fit in a
+    byte), packs the integer table into big integers, one per first
+    argument a, as below.  Everything else reads the differential row by
+    row and stops at the first row with an entry not divisible by L: the
+    packed fields grow with the digits of L, and a denominator of
+    thousands of digits would make every packed sum hundreds of
+    megabytes.  The per-entry rows stay the reference route
+    (differential) in the tests.
 
     Take w bytes per field with B = 256**w > 5L, and for a fixed a write
     the five terms of dc over (b, c, d) as integers with one field per
@@ -235,7 +241,7 @@ def is_closed(c):
     the row c(a, b, .) of each plane.
     """
     if c._closed is None:
-        if c.degree == 3 and c.group.order <= 256:
+        if c.degree == 3 and c.group.order <= 256 and 5 * c.L < _PACKED_BOUND:
             c._closed = _closed_degree3(c)
         else:
             c._closed = not any(map(any, _diff_rows(c)))

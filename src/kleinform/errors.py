@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and the check that refuses non-integers."""
+"""Exception types shared across the package, and the checks that refuse non-integers."""
 
 from operator import index
 
@@ -29,3 +29,16 @@ def exact_int(value, what):
         return index(value)
     except TypeError:
         raise ValidationError("%s must be an integer, not %r" % (what, value)) from None
+
+
+def exact_ints(values, what):
+    """values as a tuple of ints, refusing the first non-integer as exact_int does.
+
+    The whole sequence is converted at C speed; only on failure is it
+    read again, value by value, to name the first value refused.
+    """
+    values = tuple(values)
+    try:
+        return tuple(map(index, values))
+    except TypeError:
+        return tuple(exact_int(v, what) for v in values)

@@ -8,9 +8,9 @@ blindly.  Sizes stay at desk scale; nothing here tries to be clever.
 
 from __future__ import annotations
 
-from operator import index, itemgetter
+from operator import itemgetter
 
-from .errors import KleinformError, ValidationError
+from .errors import KleinformError, ValidationError, exact_ints
 
 # Largest order a group spec or group file may name: a degree-3 cochain
 # has order**3 entries and its closedness check reads order**4 differential
@@ -33,10 +33,7 @@ class FiniteGroup:
     __slots__ = ("order", "table", "_inv", "_orders")
 
     def __init__(self, table):
-        try:
-            table = tuple(tuple(map(index, row)) for row in table)
-        except TypeError:
-            raise ValidationError("multiplication table entries must be integers") from None
+        table = tuple(exact_ints(row, "multiplication table entry") for row in table)
         n = len(table)
         if n == 0:
             raise ValidationError("empty multiplication table")
@@ -294,10 +291,7 @@ class GroupHom:
     __slots__ = ("source", "target", "images")
 
     def __init__(self, source, target, images):
-        try:
-            images = tuple(map(index, images))
-        except TypeError:
-            raise ValidationError("homomorphism images must be integers") from None
+        images = exact_ints(images, "homomorphism image")
         if len(images) != source.order:
             raise ValidationError("image list has wrong length")
         if min(images) < 0 or max(images) >= target.order:

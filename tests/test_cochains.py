@@ -5,6 +5,7 @@ import tracemalloc
 
 import pytest
 
+from kleinform import cochains
 from kleinform.cochains import (
     Cochain,
     alpha_cyclic,
@@ -212,10 +213,12 @@ def test_is_closed_agrees_with_full_differential_on_perturbations():
         assert is_closed(alpha)
         cases.append((alpha, 6))
     # closed coboundaries d(beta) over L = 51 (one-byte fields), 52 (the
-    # least L with two-byte fields) and 3**50, bumped by a multiple of 1/L
+    # least L with two-byte fields), the largest L with eight-byte fields
+    # and 3**50 (past the packed route), bumped by a multiple of 1/L
+    widest = (256**8 - 1) // 5
     groups = (cyclic(1), symmetric3(), dihedral(4), dicyclic(2), alternating4())
     for group in groups:
-        for L in (51, 52, 3**50):
+        for L in (51, 52, widest, 3**50):
             n = group.order
             beta = Cochain(group, 2, [QZ(rnd.randrange(L), L) for _ in range(n * n)])
             coboundary = differential(beta)
@@ -232,17 +235,36 @@ def test_is_closed_agrees_with_full_differential_on_perturbations():
     # every entry 0 or L - 1 puts the biased fields of the packed sums at
     # their extremes, 2 and 5L - 3
     for group in groups[:4]:
-        for L in (1, 2, 51, 52, 256, 3**50):
+        for L in (1, 2, 51, 52, 256, widest, 3**50):
             for _ in range(3):
                 n = group.order
                 tables.append(Cochain(group, 3, [QZ(rnd.choice((0, L - 1)), L)
                                                  for _ in range(n**3)]))
     closed = []
-    for c in tables:
+    for i, c in enumerate(tables):
         by_hand = _closed_by_five_terms(c)
         assert is_closed(c) == by_hand == all(not v for v in differential(c).values)
+        if i < 16:
+            # the bumped cube and cup tables, read once more through QZ
+            elements = c.group.elements
+            assert by_hand == all(
+                not _differential_three_by_hand(c, a, b, cc, d)
+                for a in elements for b in elements for cc in elements for d in elements)
         closed.append(by_hand)
     assert any(closed) and not all(closed)
+
+
+def test_is_closed_reads_a_huge_denominator_entry_by_entry(monkeypatch):
+    # 5L is far past 256**8, so the packed route, whose fields would take
+    # over 1,600 bytes each, must not be taken; the first bad row answers
+    def packed(c):
+        raise AssertionError("packed route taken for a %d-digit L" % len(str(c.L)))
+
+    monkeypatch.setattr(cochains, "_closed_degree3", packed)
+    big = 10**3999 + 7
+    c = parse_cochain_text("group cyclic:48 degree 3\n0 0 1 1/%d\n" % big)
+    assert c.L == big
+    assert not is_closed(c)
 
 
 def test_validation_keeps_no_reference_to_the_cochain():

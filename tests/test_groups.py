@@ -82,8 +82,9 @@ def test_validation_rejects_nonassociative_loop():
 
 
 def test_table_refuses_floats():
-    for table in ([[0, 1], [1, 0.0]], [[0, 1], [1.5, 0]]):
-        with pytest.raises(ValidationError, match="table entries must be integers"):
+    for table, bad in (([[0, 1], [1, 0.0]], "0.0"), ([[0, 1], [1.5, 0]], "1.5")):
+        with pytest.raises(ValidationError,
+                           match="multiplication table entry must be an integer, not " + bad):
             FiniteGroup(table)
 
 
@@ -186,7 +187,7 @@ def test_hom_validation():
 
 
 def test_hom_refuses_float_images():
-    with pytest.raises(ValidationError, match="images must be integers"):
+    with pytest.raises(ValidationError, match="homomorphism image must be an integer, not 1.0"):
         GroupHom(cyclic(4), cyclic(2), [0, 1.0, 0, 1])
 
 
