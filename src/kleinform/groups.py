@@ -255,14 +255,6 @@ def closure(group, gens):
     return tuple(sorted(seen))
 
 
-def centralizer(group, elems):
-    """All z commuting with every element of elems, as a sorted tuple."""
-    elems = list(elems)
-    return tuple(
-        z for z in group.elements if all(group.commutes(z, a) for a in elems)
-    )
-
-
 def cyclic_generator(group, subgroup):
     """Smallest index generating the given subgroup, or None if it is not cyclic."""
     size = len(subgroup)

@@ -1,10 +1,12 @@
 """Moduli of flat surface bundles and their mapping-class characters.
 
-Genus-one bundles over a finite structure group G are commuting pairs
-(TorusRep); SL2(Z) acts on them through the plane and G by conjugation
-(torus_orbits).  r_diff (the character against a matrix, whose T^ord
-block is dehn_character) and the conjugation holonomy are defined through
-a normalized lift of the pulled-back three-cocycle, but the lift cancels
+A genus-g bundle over a finite structure group G is an image tuple
+(g1, h1, ..., gg, hg) with vanishing total commutator (enumerate_bundles);
+G acts by conjugation (orbit_stabilizer, tabulated at genus one by
+torus_orbits), and SL2(Z) acts on commuting pairs (TorusRep) through the
+plane.  r_diff (the character against a matrix, whose T^ord block is
+dehn_character) and the conjugation holonomy are defined through a
+normalized lift of the pulled-back three-cocycle, but the lift cancels
 out of each: they are read from alpha's integer table over its common
 denominator, a few lookups per S or T letter or per conjugating element.
 sections_dimension reads the holonomy only at stabilizer elements, six
@@ -19,8 +21,7 @@ from __future__ import annotations
 from itertools import product
 
 from .cochains import Cochain, is_closed, is_normalized
-from .errors import KleinformError, ValidationError, exact_int
-from .groups import centralizer
+from .errors import KleinformError, ValidationError, exact_int, exact_ints
 from .qz import QZ
 
 ENUMERATION_CAP = 10**7
@@ -32,7 +33,7 @@ class TorusRep:
     __slots__ = ("group", "g", "h")
 
     def __init__(self, group, g, h):
-        g, h = int(g), int(h)
+        g, h = exact_int(g, "rep image"), exact_int(h, "rep image")
         if not (0 <= g < group.order and 0 <= h < group.order):
             raise ValidationError("rep images outside the group")
         if not group.commutes(g, h):
@@ -66,7 +67,8 @@ class SL2Z:
     __slots__ = ("a", "b", "c", "d")
 
     def __init__(self, a, b, c, d):
-        a, b, c, d = int(a), int(b), int(c), int(d)
+        a, b = exact_int(a, "matrix entry"), exact_int(b, "matrix entry")
+        c, d = exact_int(c, "matrix entry"), exact_int(d, "matrix entry")
         if a * d - b * c != 1:
             raise ValidationError(
                 "matrix [[%d, %d], [%d, %d]] has determinant %d, not 1"
@@ -128,50 +130,10 @@ class SL2Z:
 
 def in_gamma1(matrix, n):
     """Membership in Gamma1(n): a = 1 and b = 0 modulo n."""
+    n = exact_int(n, "Gamma1 level")
     if n < 1:
         raise KleinformError("Gamma1 needs n >= 1")
     return (matrix.a - 1) % n == 0 and matrix.b % n == 0
-
-
-class SurfaceRep:
-    """A genus-g bundle datum: 2g images with vanishing total commutator.
-
-    images lists (g1, h1, ..., gg, hg); the product of the commutators
-    [gi, hi] in that order must be the identity.
-    """
-
-    __slots__ = ("group", "genus", "images")
-
-    def __init__(self, group, genus, images):
-        if genus < 1:
-            raise ValidationError("genus must be at least 1")
-        images = tuple(int(v) for v in images)
-        if len(images) != 2 * genus:
-            raise ValidationError(
-                "genus %d needs %d images, got %d" % (genus, 2 * genus, len(images))
-            )
-        for v in images:
-            if not (0 <= v < group.order):
-                raise ValidationError("image %d outside the group" % v)
-        if _commutator_product(group, images) != 0:
-            raise ValidationError("commutator product is not the identity")
-        self.group = group
-        self.genus = genus
-        self.images = images
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, SurfaceRep)
-            and self.group == other.group
-            and self.genus == other.genus
-            and self.images == other.images
-        )
-
-    def __hash__(self):
-        return hash((self.group, self.genus, self.images))
-
-    def __repr__(self):
-        return "SurfaceRep(genus=%d, images=%r)" % (self.genus, self.images)
 
 
 def _commutator_product(group, images):
@@ -186,12 +148,13 @@ def enumerate_bundles(group, genus):
     """All genus-g bundle data over the group, lazily, in lexicographic order.
 
     Each datum is an image tuple (g1, h1, ..., gg, hg) with vanishing total
-    commutator, the images a SurfaceRep holds.  The size checks run at the
-    call, before the first tuple is found: a genus whose 2g images alone
-    exceed ENUMERATION_CAP is refused, and so is a count order**(2g) above
-    it.  An order of 2 or more exceeds the cap once 2g reaches the cap's
-    bit length, so the power is taken with the exponent cut there.
+    commutator.  The size checks run at the call, before the first tuple
+    is found: a genus whose 2g images alone exceed ENUMERATION_CAP is
+    refused, and so is a count order**(2g) above it.  An order of 2 or
+    more exceeds the cap once 2g reaches the cap's bit length, so the
+    power is taken with the exponent cut there.
     """
+    genus = exact_int(genus, "genus")
     if genus < 1:
         raise KleinformError("genus must be at least 1")
     n, width = group.order, 2 * genus
@@ -207,39 +170,49 @@ def enumerate_bundles(group, genus):
             if _commutator_product(group, images) == 0)
 
 
-def orbit_stabilizer(srep):
+def orbit_stabilizer(group, images):
     """Simultaneous-conjugation orbit and joint stabilizer of a bundle datum.
 
-    Returns (orbit, stabilizer): the orbit as SurfaceReps sorted by image
-    tuple, the stabilizer as a sorted tuple of group elements.
+    images is a datum as enumerate_bundles yields it: a nonempty tuple
+    (g1, h1, ..., gg, hg) of integer images with vanishing total
+    commutator, checked here.  Returns (orbit, stabilizer): the orbit's
+    image tuples sorted, the stabilizer as a sorted tuple of group elements.
     """
-    group = srep.group
+    images = exact_ints(images, "image")
+    if not images:
+        raise ValidationError("genus must be at least 1")
+    if len(images) % 2:
+        raise ValidationError("a bundle datum needs an even number of images, got %d"
+                              % len(images))
+    for v in images:
+        if not (0 <= v < group.order):
+            raise ValidationError("image %d outside the group" % v)
+    if _commutator_product(group, images) != 0:
+        raise ValidationError("commutator product is not the identity")
     seen = set()
     stab = []
     for z in group.elements:
-        conj = tuple(group.conj(z, x) for x in srep.images)
+        conj = tuple(group.conj(z, x) for x in images)
         seen.add(conj)
-        if conj == srep.images:
+        if conj == images:
             stab.append(z)
-    orbit = [SurfaceRep(group, srep.genus, images) for images in sorted(seen)]
-    return orbit, tuple(stab)
+    return sorted(seen), tuple(stab)
 
 
 def torus_orbits(group):
     """Conjugation orbits of commuting pairs: sorted (least pair, size, stabilizer).
 
-    The lexicographic scan meets each orbit first at its least member; the
-    stabilizer is that pair's joint centralizer, as a sorted tuple.
+    The rows are orbit_stabilizer's over the genus-1 data, which
+    enumerate_bundles yields in lexicographic order, so each orbit is
+    met first at its least member.
     """
     seen = set()
     rows = []
-    for g in group.elements:
-        for h in group.elements:
-            if (g, h) in seen or not group.commutes(g, h):
-                continue
-            orbit = {(group.conj(z, g), group.conj(z, h)) for z in group.elements}
-            seen |= orbit
-            rows.append(((g, h), len(orbit), centralizer(group, (g, h))))
+    for pair in enumerate_bundles(group, 1):
+        if pair not in seen:
+            orbit, stab = orbit_stabilizer(group, pair)
+            seen.update(orbit)
+            rows.append((pair, len(orbit), stab))
     return rows
 
 

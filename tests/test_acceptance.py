@@ -46,7 +46,6 @@ from kleinform.intmat import xgcd
 from kleinform.lifts import GammaLift, TorusRep, has_cyclic_image, lift_gamma
 from kleinform.moduli import (
     SL2Z,
-    SurfaceRep,
     dehn_character,
     enumerate_bundles,
     holonomy_cocycle_R,
@@ -328,14 +327,13 @@ def test_character_homomorphism_and_conjugation_covariance():
     for images in enumerate_bundles(s3, 1):
         if images in seen:
             continue
-        orbit, _ = orbit_stabilizer(SurfaceRep(s3, 1, images))
-        for other in orbit:
-            seen.add(other.images)
+        orbit, _ = orbit_stabilizer(s3, images)
+        seen.update(orbit)
         orbits += 1
         for mat in mats:
-            want = r_diff(TorusRep(orbit[0].group, *orbit[0].images), pulled, mat)
+            want = r_diff(TorusRep(s3, *orbit[0]), pulled, mat)
             for other in orbit:
-                assert r_diff(TorusRep(other.group, *other.images), pulled, mat) == want
+                assert r_diff(TorusRep(s3, *other), pulled, mat) == want
     assert orbits == 8
 
     # the Klein four-group: conjugation is trivial, so every orbit is a
@@ -346,7 +344,7 @@ def test_character_homomorphism_and_conjugation_covariance():
     pulled4 = pullback_cochain(alpha_cyclic(2, 1), chi)
     minus = SL2Z.S() @ SL2Z.S()
     for images in enumerate_bundles(v4, 1):
-        orbit, _ = orbit_stabilizer(SurfaceRep(v4, 1, images))
+        orbit, _ = orbit_stabilizer(v4, images)
         assert len(orbit) == 1
         rep = TorusRep(v4, *images)
         val = r_diff(rep, pulled4, minus)
@@ -385,27 +383,70 @@ def test_moduli_counts_match_brute_force():
 
     for grp in (z2, v4, s3):
         for images in enumerate_bundles(grp, 1):
-            orbit, stab = orbit_stabilizer(SurfaceRep(grp, 1, images))
+            orbit, stab = orbit_stabilizer(grp, images)
             assert len(orbit) * len(stab) == grp.order
 
 
 def test_torus_orbits_match_orbit_stabilizer():
-    """torus_orbits on every small group equals the rows built from the
-    genus-1 bundle list and orbit_stabilizer, and orbit size times
+    """torus_orbits on every small group equals the rows of a raw loop over
+    the commuting pairs: each orbit set built by conjugation, kept at its
+    least member, with the stabilizer found by equality; orbit size times
     stabilizer size is the group order."""
     for grp in _small_groups():
-        seen = set()
         rows = []
-        for images in enumerate_bundles(grp, 1):
-            if images in seen:
-                continue
-            orbit, stab = orbit_stabilizer(SurfaceRep(grp, 1, images))
-            seen.update(other.images for other in orbit)
-            rows.append((min(other.images for other in orbit), len(orbit), stab))
-        rows.sort()
+        for g in grp.elements:
+            for h in grp.elements:
+                if grp.mul(g, h) != grp.mul(h, g):
+                    continue
+                orbit = {(grp.conj(z, g), grp.conj(z, h)) for z in grp.elements}
+                if min(orbit) == (g, h):
+                    stab = tuple(z for z in grp.elements
+                                 if (grp.conj(z, g), grp.conj(z, h)) == (g, h))
+                    rows.append(((g, h), len(orbit), stab))
         assert torus_orbits(grp) == rows
         for _, size, stab in rows:
             assert size * len(stab) == grp.order
+
+
+def _burnside_genus2_orbits(grp):
+    """(1/|G|) sum over z of |Hom(pi1 of the genus-2 surface, C(z))|, by raw
+    loops: the conjugation orbits of genus-2 data, counted by Burnside's
+    lemma, since the data z fixes are those with every image in C(z)."""
+    def commutator(a, b):
+        return grp.mul(grp.mul(a, b), grp.mul(grp.inv(a), grp.inv(b)))
+
+    total = 0
+    for z in grp.elements:
+        cz = [a for a in grp.elements if grp.mul(z, a) == grp.mul(a, z)]
+        by_commutator = {}
+        for a in cz:
+            for b in cz:
+                c = commutator(a, b)
+                by_commutator[c] = by_commutator.get(c, 0) + 1
+        total += sum(k * by_commutator.get(grp.inv(c), 0) for c, k in by_commutator.items())
+    assert total % grp.order == 0
+    return total // grp.order
+
+
+def test_genus2_orbits_match_burnside():
+    """orbit_stabilizer above genus one: the distinct orbits over the genus-2
+    data number Burnside's count, each orbit size times its stabilizer
+    size is |G|, and the counts are S3 116, D4 736, Q8 736, A4 566,
+    klein4 256 and Z/3 81."""
+    expected = ((symmetric3(), 116), (dihedral(4), 736), (dicyclic(2), 736),
+                (alternating4(), 566), (klein4(), 256), (cyclic(3), 81))
+    for grp, count in expected:
+        seen = set()
+        orbits = 0
+        for images in enumerate_bundles(grp, 2):
+            if images in seen:
+                continue
+            orbit, stab = orbit_stabilizer(grp, images)
+            assert images == orbit[0]
+            assert len(orbit) * len(stab) == grp.order
+            seen.update(orbit)
+            orbits += 1
+        assert orbits == _burnside_genus2_orbits(grp) == count
 
 
 def _conj_character(group, alpha, g, h, z):

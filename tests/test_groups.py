@@ -10,7 +10,6 @@ from kleinform.groups import (
     GroupHom,
     all_homs,
     alternating4,
-    centralizer,
     closure,
     cyclic,
     cyclic_generator,
@@ -153,14 +152,6 @@ def test_closure_and_generators():
     gens = generating_set(s3)
     assert closure(s3, gens) == tuple(s3.elements)
     assert generating_set(cyclic(1)) == ()
-
-
-def test_centralizer():
-    s3 = symmetric3()
-    assert centralizer(s3, [1]) == (0, 1)
-    assert centralizer(s3, [3]) == (0, 3, 4)
-    assert centralizer(s3, []) == tuple(s3.elements)
-    assert centralizer(s3, [1, 3]) == (0,)
 
 
 def test_cyclic_generator():

@@ -9,7 +9,10 @@ validation flags stay on the object, and caches are explicit module
 dicts (the staircase cache in lifts.py is unbounded, and only the tests
 fill it).
 Files are opened in one function only (groups.read_lines, which every
-parser reads through), and only cli.py prints or writes csv.
+parser reads through), and only cli.py prints or writes csv.  int() is
+called only by the text parsers; everywhere else a value that should be an
+integer goes through errors.exact_int or exact_ints, which refuse floats
+instead of truncating them.
 """
 
 import ast
@@ -146,3 +149,53 @@ def test_only_cli_prints_or_writes_csv():
     printers = {name for name, source in _sources() if _callers(source, "print")}
     assert printers == {"cli.py"}
     assert [name for name, source in _sources() if _uses_csv(source)] == ["cli.py"]
+
+
+# The functions that turn text into integers, and so may call int().
+_TEXT_PARSERS = {
+    ("cli.py", "_int_tuple"), ("cli.py", "_resolve_level"),
+    ("groups.py", "_group_from_lines"), ("groups.py", "parse_group_spec"),
+    ("cochains.py", "_cochain_from_lines"), ("groupoid_lines.py", "_groupoid_from_lines"),
+    ("qz.py", "QZ.from_str"),
+}
+
+
+def _int_conversions(source):
+    """(owner, line) for each int(...) call and each map(int, ...).
+
+    The owner is the outermost function, as Class.method inside a class,
+    so a call in a nested function counts for the function around it;
+    None at module level.
+    """
+    found = []
+
+    def visit(node, owner, in_function):
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)) \
+                and not in_function:
+            owner = node.name if owner is None else owner + "." + node.name
+            in_function = not isinstance(node, ast.ClassDef)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+            name, args = node.func.id, node.args
+            if name == "int" or (name == "map" and args and getattr(args[0], "id", None) == "int"):
+                found.append((owner, node.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner, in_function)
+
+    visit(ast.parse(source), None, False)
+    return found
+
+
+def test_int_detector_sees_every_spelling():
+    assert _int_conversions("n = int('3')\n") == [(None, 1)]
+    assert _int_conversions("def f(s):\n    return list(map(int, s.split()))\n") == [("f", 2)]
+    source = "class Q:\n    def g(self, t):\n        def h():\n            return int(t)\n        return h\n"
+    assert _int_conversions(source) == [("Q.g", 4)]
+    for source in ("isinstance(x, int)", "int.from_bytes(b, 'big')", "spec = ('genus', int)",
+                   "map(str, row)", "type(a) is not int"):
+        assert _int_conversions(source) == []
+
+
+def test_int_is_called_only_in_text_parsers():
+    outside = [(name, owner, line) for name, source in _sources()
+               for owner, line in _int_conversions(source) if (name, owner) not in _TEXT_PARSERS]
+    assert outside == []

@@ -17,7 +17,6 @@ from kleinform.intmat import xgcd
 from kleinform.lifts import E1, E2, conjugate_lift, has_cyclic_image, lift_gamma
 from kleinform.moduli import (
     SL2Z,
-    SurfaceRep,
     TorusRep,
     dehn_character,
     enumerate_bundles,
@@ -68,23 +67,41 @@ def test_in_gamma1():
         in_gamma1(SL2Z.identity(), 0)
 
 
-def test_surface_rep_validation():
+def test_in_gamma1_refuses_a_float_level():
+    with pytest.raises(ValidationError, match="Gamma1 level must be an integer, not 2.5"):
+        in_gamma1(SL2Z.T(), 2.5)
+
+
+def test_torus_rep_refuses_float_images():
+    z3 = cyclic(3)
+    for g, h in ((1.9, 0.5), (1, 0.0)):
+        with pytest.raises(ValidationError, match="rep image must be an integer"):
+            TorusRep(z3, g, h)
+
+
+def test_sl2z_refuses_float_entries():
+    for entries in ((1.7, 0, 0, 1.2), (1, 3.5, 0, 1), (1, 0, 0, 1.0)):
+        with pytest.raises(ValidationError, match="matrix entry must be an integer"):
+            SL2Z(*entries)
+
+
+def test_orbit_stabilizer_validation():
     s3 = symmetric3()
-    rep = SurfaceRep(s3, 1, (3, 4))
-    assert rep.images == (3, 4)
-    with pytest.raises(ValidationError):
-        SurfaceRep(s3, 1, (1, 3))
-    with pytest.raises(ValidationError):
-        SurfaceRep(s3, 0, ())
-    with pytest.raises(ValidationError):
-        SurfaceRep(s3, 1, (1, 2, 3))
-    with pytest.raises(ValidationError):
-        SurfaceRep(s3, 1, (1, 9))
+    orbit, stab = orbit_stabilizer(s3, (3, 4))
+    assert orbit == [(3, 4), (4, 3)] and stab == (0, 3, 4)
+    cases = (((1, 3), "commutator product is not the identity"),
+             ((), "genus must be at least 1"),
+             ((1, 2, 3), "even number of images, got 3"),
+             ((1, 9), "image 9 outside the group"),
+             ((1, 3, 0, 0), "commutator product is not the identity"),
+             ((3, 4.0), "image must be an integer, not 4.0"),
+             ((1.5, 0), "image must be an integer, not 1.5"))
+    for images, message in cases:
+        with pytest.raises(ValidationError, match=message):
+            orbit_stabilizer(s3, images)
     # genus 2 allows non-commuting pairs when the commutators cancel
-    good = SurfaceRep(s3, 2, (1, 3, 3, 1))
-    assert good.genus == 2
-    with pytest.raises(ValidationError):
-        SurfaceRep(s3, 2, (1, 3, 0, 0))
+    orbit, stab = orbit_stabilizer(s3, (1, 3, 3, 1))
+    assert (1, 3, 3, 1) in orbit and len(orbit) * len(stab) == 6
 
 
 def test_enumerate_counts():
@@ -97,6 +114,11 @@ def test_enumerate_counts():
         enumerate_bundles(dihedral(29), 2)
 
 
+def test_enumerate_bundles_refuses_a_float_genus():
+    with pytest.raises(ValidationError, match="genus must be an integer, not 1.5"):
+        enumerate_bundles(cyclic(2), 1.5)
+
+
 def test_enumerate_order():
     images = list(enumerate_bundles(klein4(), 1))
     assert images == sorted(images)
@@ -105,16 +127,16 @@ def test_enumerate_order():
 
 def test_orbit_stabilizer_examples():
     z2 = cyclic(2)
-    orbit, stab = orbit_stabilizer(SurfaceRep(z2, 1, (1, 0)))
-    assert [r.images for r in orbit] == [(1, 0)]
+    orbit, stab = orbit_stabilizer(z2, (1, 0))
+    assert orbit == [(1, 0)]
     assert stab == (0, 1)
 
     s3 = symmetric3()
-    orbit, stab = orbit_stabilizer(SurfaceRep(s3, 1, (1, 0)))
-    assert [r.images for r in orbit] == [(1, 0), (2, 0), (5, 0)]
+    orbit, stab = orbit_stabilizer(s3, (1, 0))
+    assert orbit == [(1, 0), (2, 0), (5, 0)]
     assert stab == (0, 1)
 
-    orbit, stab = orbit_stabilizer(SurfaceRep(s3, 1, (0, 0)))
+    orbit, stab = orbit_stabilizer(s3, (0, 0))
     assert len(orbit) == 1
     assert stab == (0, 1, 2, 3, 4, 5)
 
@@ -122,7 +144,7 @@ def test_orbit_stabilizer_examples():
 def test_orbit_stabilizer_product():
     for group in (cyclic(2), klein4(), symmetric3()):
         for images in enumerate_bundles(group, 1):
-            orbit, stab = orbit_stabilizer(SurfaceRep(group, 1, images))
+            orbit, stab = orbit_stabilizer(group, images)
             assert len(orbit) * len(stab) == group.order
 
 
@@ -475,9 +497,8 @@ def test_sections_dimension_on_coboundary():
     for images in enumerate_bundles(s3, 1):
         if images in seen:
             continue
-        orbit, _ = orbit_stabilizer(SurfaceRep(s3, 1, images))
-        for other in orbit:
-            seen.add(other.images)
+        orbit, _ = orbit_stabilizer(s3, images)
+        seen.update(orbit)
         orbits += 1
     assert orbits == 8
     assert dim == 8
