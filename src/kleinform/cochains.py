@@ -26,7 +26,7 @@ from itertools import chain, repeat
 from math import gcd, lcm
 from operator import and_, rshift
 
-from .errors import KleinformError, ValidationError
+from .errors import KleinformError, ValidationError, exact_int
 from .groups import MAX_ORDER, FiniteGroup, cyclic, parse_group_spec, read_lines
 from .intmat import solve_sparse
 from .qz import QZ
@@ -52,6 +52,7 @@ class Cochain:
     def __init__(self, group, degree, values):
         if not isinstance(group, FiniteGroup):
             raise ValidationError("cochain needs a FiniteGroup")
+        degree = exact_int(degree, "cochain degree")
         if not (0 <= degree <= MAX_DEGREE):
             raise ValidationError("cochain degree must lie in 0..%d" % MAX_DEGREE)
         values = tuple(v if isinstance(v, QZ) else QZ(v) for v in values)
@@ -78,10 +79,12 @@ class Cochain:
 
     @classmethod
     def zero(cls, group, degree):
+        degree = exact_int(degree, "cochain degree")
         return cls._from_ints(group, degree, 1, (0,) * group.order**degree)
 
     @classmethod
     def from_function(cls, group, degree, fn):
+        degree = exact_int(degree, "cochain degree")
         n = group.order
         vals = []
         for flat in range(n**degree):
@@ -320,6 +323,7 @@ def alpha_cyclic(n, level):
     is N*j/n when k + l >= n and zero otherwise.  Closed and normalized for
     every level; cohomologically trivial exactly when n divides N.
     """
+    n, level = exact_int(n, "cyclic group order"), exact_int(level, "level")
     if n < 1:
         raise KleinformError("alpha_cyclic needs n >= 1")
     r = range(n)

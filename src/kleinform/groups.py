@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from operator import itemgetter
 
-from .errors import KleinformError, ValidationError, exact_ints
+from .errors import KleinformError, ValidationError, exact_int, exact_ints
 
 # Largest order a group spec or group file may name: a degree-3 cochain
 # has order**3 entries and its closedness check reads order**4 differential
@@ -132,6 +132,7 @@ class FiniteGroup:
 
 def cyclic(n):
     """The cyclic group Z/n with i + j mod n as the operation."""
+    n = exact_int(n, "cyclic group order")
     if n < 1:
         raise KleinformError("cyclic group needs order >= 1")
     return FiniteGroup([[(i + j) % n for j in range(n)] for i in range(n)])
@@ -181,6 +182,7 @@ def dihedral(n):
     Element r^i s^j sits at index 2*i + j, so index 0 is the identity.
     The defining relation s r = r^-1 s drives the table.
     """
+    n = exact_int(n, "dihedral group n")
     if n < 1:
         raise KleinformError("dihedral group needs n >= 1")
 
@@ -201,6 +203,7 @@ def dicyclic(n):
     Element a^i b^j sits at index 2*i + j; dicyclic(2) is the quaternion
     group.
     """
+    n = exact_int(n, "dicyclic group n")
     if n < 1:
         raise KleinformError("dicyclic group needs n >= 1")
     m = 2 * n

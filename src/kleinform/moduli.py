@@ -105,6 +105,7 @@ class SL2Z:
         return SL2Z(self.d, -self.b, -self.c, self.a)
 
     def __pow__(self, e):
+        e = exact_int(e, "exponent")
         base = self if e >= 0 else self.inverse()
         e = abs(e)
         out = SL2Z.identity()
@@ -310,6 +311,7 @@ def klein_character(n, level, matrix):
     Gamma1(n); r_diff reproduces this value on congruence matrices, which
     is a theorem the tests exercise.
     """
+    n, level = exact_int(n, "Gamma1 level"), exact_int(level, "level")
     if n < 1:
         raise KleinformError("klein_character needs n >= 1")
     if not in_gamma1(matrix, n):

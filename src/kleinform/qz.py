@@ -5,42 +5,60 @@ unit complex number exp(2*pi*i*p/q), and multiplying phases becomes adding
 residues mod 1.  Every value is kept as the reduced representative in
 [0, 1), so equality of residues is structural equality and no tolerance
 ever enters.
+
+A value is stored as two ints p, q with 0 <= p < q and gcd(p, q) = 1.
+Built from two ints, it is reduced by one % and one gcd; the arithmetic
+works on these pairs.  Fraction appears only where a caller hands one in
+or asks for one: a Fraction, bool or str argument is read through
+Fraction (a QZ argument is copied), as_fraction() returns one, and the
+hash is that of Fraction(p, q), which compares equal to the value.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
 from .errors import ValidationError
 
 
 class QZ:
-    """A rational residue mod 1, stored as the reduced representative in [0, 1)."""
+    """A rational residue mod 1, stored as the reduced pair (p, q) with 0 <= p/q < 1."""
 
-    __slots__ = ("_frac",)
+    __slots__ = ("_p", "_q")
 
     def __init__(self, numerator=0, denominator=None):
+        if type(numerator) is int and type(denominator) is int:
+            if denominator < 0:
+                numerator, denominator = -numerator, -denominator
+            elif not denominator:
+                raise ZeroDivisionError("Fraction(%d, 0)" % numerator)
+            p = numerator % denominator
+            g = gcd(p, denominator)
+            self._p, self._q = p // g, denominator // g
+            return
         if isinstance(numerator, QZ):
-            frac = numerator._frac
-        elif isinstance(numerator, float) or isinstance(denominator, float):
+            self._p, self._q = numerator._p, numerator._q
+            return
+        if isinstance(numerator, float) or isinstance(denominator, float):
             raise ValidationError("QZ takes exact numbers, not a float")
-        elif denominator is None:
-            frac = Fraction(numerator)
+        if denominator is None:
+            frac = Fraction(numerator) % 1
         else:
-            frac = Fraction(numerator, denominator)
-        self._frac = frac % 1
+            frac = Fraction(numerator, denominator) % 1
+        self._p, self._q = frac.numerator, frac.denominator
 
     @property
     def numerator(self):
-        return self._frac.numerator
+        return self._p
 
     @property
     def denominator(self):
-        return self._frac.denominator
+        return self._q
 
     def as_fraction(self):
         """The canonical representative in [0, 1) as a Fraction."""
-        return self._frac
+        return Fraction(self._p, self._q)
 
     @classmethod
     def from_str(cls, text):
@@ -58,28 +76,26 @@ class QZ:
         return cls(int(text))
 
     def __add__(self, other):
-        if isinstance(other, QZ):
-            return QZ(self._frac + other._frac)
-        if isinstance(other, (int, Fraction)):
-            return QZ(self._frac + other)
+        if isinstance(other, (QZ, int, Fraction)):
+            d = other.denominator
+            return QZ(self._p * d + other.numerator * self._q, self._q * d)
         return NotImplemented
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        if isinstance(other, QZ):
-            return QZ(self._frac - other._frac)
-        if isinstance(other, (int, Fraction)):
-            return QZ(self._frac - other)
+        if isinstance(other, (QZ, int, Fraction)):
+            d = other.denominator
+            return QZ(self._p * d - other.numerator * self._q, self._q * d)
         return NotImplemented
 
     def __neg__(self):
-        return QZ(-self._frac)
+        return QZ(-self._p, self._q)
 
     def __mul__(self, k):
         # scale by an integer; this is the k-fold sum, so only int makes sense
         if isinstance(k, int):
-            return QZ(self._frac * k)
+            return QZ(self._p * k, self._q)
         return NotImplemented
 
     __rmul__ = __mul__
@@ -90,26 +106,26 @@ class QZ:
         Doubling the result gives back self, and the convention picks one of
         the two possible halves once and for all.
         """
-        return QZ(self._frac.numerator, 2 * self._frac.denominator)
+        return QZ(self._p, 2 * self._q)
 
     def __bool__(self):
-        return self._frac != 0
+        return self._p != 0
 
     def __eq__(self, other):
         if isinstance(other, QZ):
-            return self._frac == other._frac
+            return self._p == other._p and self._q == other._q
         if isinstance(other, (int, Fraction)):
-            return self._frac == other % 1
+            other %= 1
+            return self._p == other.numerator and self._q == other.denominator
         return NotImplemented
 
     def __hash__(self):
-        return hash(self._frac)
+        return hash(Fraction(self._p, self._q))
 
     def __str__(self):
-        if self._frac == 0:
+        if not self._p:
             return "0"
-        return "%d/%d" % (self._frac.numerator, self._frac.denominator)
+        return "%d/%d" % (self._p, self._q)
 
     def __repr__(self):
-        return "QZ(%d, %d)" % (self._frac.numerator, self._frac.denominator)
-
+        return "QZ(%d, %d)" % (self._p, self._q)

@@ -3,8 +3,9 @@
 bench/tracing.py wraps module attributes by name and bench/worker.py
 imports from several modules, so deleting or renaming one of them breaks
 `bench/run.py --trace 1` and the worker without failing any other test.
-The probe also builds a window lift, a closed lift and a conjugate of each
-under the tracer, so its call hooks meet the real signatures.  The check
+The probe also answers one r_diff query, which builds one QZ, and builds a
+window lift, a closed lift and a conjugate of each under the tracer, so its
+call hooks meet the real signatures and the QZ counter sees construction.  The check
 runs in a subprocess because tracing.install() rebinds module attributes
 for the rest of the process; it reads bench/ and changes nothing there.
 """
@@ -26,6 +27,11 @@ tracer = tracing.install()
 from kleinform.cochains import Cochain, alpha_cyclic
 from kleinform.groups import cyclic, klein4
 from kleinform.lifts import TorusRep, conjugate_lift, lift_gamma
+from kleinform.moduli import SL2Z, r_diff
+value = r_diff(TorusRep(cyclic(3), 1, 0), alpha_cyclic(3, 1), SL2Z(4, 3, 1, 1))
+m = tracer.metrics()
+seen = {key: m[key] for key in ("qz.QZ.new", "moduli.r_diff.calls")}
+assert str(value) == "1/3" and seen == {"qz.QZ.new": 1, "moduli.r_diff.calls": 1}, seen
 v4 = klein4()
 window = lift_gamma(TorusRep(v4, 1, 2), Cochain.zero(v4, 3))
 closed = lift_gamma(TorusRep(cyclic(3), 1, 0), alpha_cyclic(3, 1))

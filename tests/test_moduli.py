@@ -12,7 +12,8 @@ from kleinform.cochains import (
     pullback_cochain,
 )
 from kleinform.errors import KleinformError, ValidationError
-from kleinform.groups import GroupHom, all_homs, cyclic, dihedral, direct_product, klein4, symmetric3
+from kleinform.groups import (GroupHom, all_homs, cyclic, dicyclic, dihedral, direct_product,
+                              klein4, symmetric3)
 from kleinform.intmat import xgcd
 from kleinform.lifts import E1, E2, conjugate_lift, has_cyclic_image, lift_gamma
 from kleinform.moduli import (
@@ -83,6 +84,26 @@ def test_sl2z_refuses_float_entries():
     for entries in ((1.7, 0, 0, 1.2), (1, 3.5, 0, 1), (1, 0, 0, 1.0)):
         with pytest.raises(ValidationError, match="matrix entry must be an integer"):
             SL2Z(*entries)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: SL2Z.T() ** 2.0, "exponent must be an integer, not 2.0"),
+    (lambda: cyclic(3.0), "cyclic group order must be an integer, not 3.0"),
+    (lambda: dihedral(2.5), "dihedral group n must be an integer, not 2.5"),
+    (lambda: dicyclic(2.0), "dicyclic group n must be an integer, not 2.0"),
+    (lambda: alpha_cyclic(3.0, 1), "cyclic group order must be an integer, not 3.0"),
+    (lambda: alpha_cyclic(3, 1.0), "level must be an integer, not 1.0"),
+    (lambda: Cochain.zero(cyclic(3), 3.0), "cochain degree must be an integer, not 3.0"),
+    (lambda: Cochain(cyclic(2), 1.0, (0, 0)), "cochain degree must be an integer, not 1.0"),
+    (lambda: Cochain.from_function(cyclic(2), 1.0, lambda a: 0),
+     "cochain degree must be an integer, not 1.0"),
+    (lambda: klein_character(0.5, 1, SL2Z.identity()), "Gamma1 level must be an integer, not 0.5"),
+    (lambda: klein_character(2, 1.0, SL2Z.identity()), "level must be an integer, not 1.0"),
+])
+def test_constructors_refuse_floats(build, message):
+    # a float below 1 is refused as a float, not as an order or level below 1
+    with pytest.raises(ValidationError, match=message):
+        build()
 
 
 def test_orbit_stabilizer_validation():

@@ -16,6 +16,13 @@ def test_canonical_representative():
     assert str(QZ(0, 5)) == "0"
     assert str(QZ(Fraction(9, 6))) == "1/2"
     assert QZ(QZ(2, 3)) == QZ(2, 3)
+    assert QZ(5, -3) == QZ(1, 3) and QZ(-5, -3) == QZ(2, 3)
+    # a QZ first argument is copied as it is, whatever the second says
+    assert repr(QZ(QZ(1, 2), 3)) == "QZ(1, 2)"
+    # bool, str and Fraction arguments are read through Fraction
+    assert QZ(True) == QZ(0) and QZ(True, 2) == QZ(1, 2) and QZ(1, True) == QZ(0)
+    assert QZ("3/4") == QZ(3, 4) and QZ(" -1/6 ") == QZ(5, 6)
+    assert QZ(Fraction(7, 3), 2) == QZ(7, 6)
 
 
 def test_reduced_parts():
@@ -62,8 +69,10 @@ def test_floats_rejected():
 
 
 def test_zero_denominator_rejected():
-    with pytest.raises(ZeroDivisionError):
+    with pytest.raises(ZeroDivisionError, match=r"Fraction\(1, 0\)"):
         QZ(1, 0)
+    with pytest.raises(ZeroDivisionError):
+        QZ(True, 0)
 
 
 def test_zero_constant():
@@ -114,3 +123,53 @@ def test_str_round_trip_random():
     for _ in range(100):
         x = QZ(rnd.randrange(-50, 50), rnd.randrange(1, 50))
         assert QZ.from_str(str(x)) == x
+
+
+def _numbers(rnd):
+    """A random numerator and nonzero denominator, some of them above 2**64."""
+    bound = rnd.choice((10, 1000, 2**70))
+    den = 0
+    while not den:
+        den = rnd.randrange(-bound, bound)
+    return rnd.randrange(-3 * bound, 3 * bound), den
+
+
+def _matches(x, frac):
+    """x is the residue of frac: every reading of x agrees with frac % 1."""
+    ref = frac % 1
+    assert (x.numerator, x.denominator) == (ref.numerator, ref.denominator)
+    assert x.as_fraction() == ref and type(x.as_fraction()) is Fraction
+    assert x == ref and x == frac and x == ref + 5
+    assert bool(x) == bool(ref)
+    assert str(x) == ("0" if ref == 0 else "%d/%d" % (ref.numerator, ref.denominator))
+    assert QZ.from_str(str(x)) == x
+    assert hash(x) == hash(ref)
+
+
+def test_every_operation_matches_fraction():
+    rnd = random.Random(3)
+    for _ in range(400):
+        (a, b), (c, d) = _numbers(rnd), _numbers(rnd)
+        fx, fy = Fraction(a, b), Fraction(c, d)
+        x, y = QZ(a, b), QZ(c, d)
+        _matches(x, fx)
+        _matches(QZ(a), Fraction(a))
+        _matches(QZ(fx), fx)
+        _matches(QZ(x), fx)
+        _matches(QZ(QZ(a, b)), fx)
+        _matches(x + y, fx + fy)
+        _matches(x - y, fx - fy)
+        _matches(x + fy, fx + fy)
+        _matches(fy + x, fx + fy)
+        _matches(x - fy, fx - fy)
+        _matches(x + c, fx + c)
+        _matches(c + x, fx + c)
+        _matches(x - c, fx - c)
+        _matches(-x, -fx)
+        k = rnd.randrange(-2**66, 2**66)
+        _matches(k * x, k * fx)
+        _matches(x * k, k * fx)
+        ref = fx % 1
+        _matches(x.halve(), Fraction(ref.numerator, 2 * ref.denominator))
+        assert (x == y) == (fx % 1 == fy % 1)
+        assert (x == c) == (fx % 1 == 0)
