@@ -81,6 +81,11 @@ class FiniteGroup:
     def mul(self, a, b):
         return self.table[a][b]
 
+    @property
+    def inverses(self):
+        """The tuple of inverses: inverses[a] is a^-1."""
+        return self._inv
+
     def inv(self, a):
         return self._inv[a]
 
@@ -105,7 +110,9 @@ class FiniteGroup:
         t = self.table
         return t[t[t[a][b]][self._inv[a]]][self._inv[b]]
 
-    def order_of(self, a):
+    @property
+    def orders(self):
+        """The tuple of element orders, computed on first use: orders[a] is the order of a."""
         if self._orders is None:
             orders = []
             for x in range(self.order):
@@ -115,7 +122,10 @@ class FiniteGroup:
                     k += 1
                 orders.append(k)
             self._orders = tuple(orders)
-        return self._orders[a]
+        return self._orders
+
+    def order_of(self, a):
+        return self.orders[a]
 
     def commutes(self, a, b):
         return self.table[a][b] == self.table[b][a]

@@ -257,37 +257,62 @@ def r_diff(rep, alpha, matrix):
     r_diff is the 1-cocycle of the SL2(Z) action on commuting pairs
     (Freed-Quinn, CMP 156, 1993): r(rep, A B) = r(rep, A) + r(rep.A, B),
     with (g, h).S = (h, g^-1) and (g, h).T^q = (g, g^q h).  So Euclid's
-    algorithm on the first column peels S or T^q, q = a // c, off M until
-    M = T^b.  T^q sums the letters alpha(g, x, g) for x = g^j h, j >= 0
-    (from x = g^q h, negated, when q < 0); rep.T^n = rep for n = ord(g), so
-    letter j recurs |q| // n + (j < |q| % n) times.  The sum runs in
-    integers over alpha's common denominator.
+    algorithm on the first column peels S (while |a| < |c|, or at
+    M = -T^b) or T^q off M until M = T^b.  The law gives the same value
+    for every factorization of M, so any q with |a - q c| < |c| will do;
+    q = floor((2a + c) / 2c), the integer nearest a / c (halves round
+    up), leaves at most |c| / 2 for the next step and so fewer steps than
+    the floor a // c.
+
+    T^q sums the letters alpha(g, x, g) for x = g^j h, j >= 0 (from
+    x = g^q h, negated, when q < 0).  rep.T^k = rep for k = ord(g), so
+    the letters repeat with period k, and a block walks the row table[g]:
+    |q| % k letters from x, then, when |q| >= k, on through the rest of
+    the cycle, which it adds |q| // k times.  g^q h = g^(q % k) h is a
+    walk along the same row, so a block takes at most 2k table steps
+    whatever the size of q.  The loop reads the group's flat table,
+    inverses and orders, and sums in integers over alpha's common
+    denominator.
     """
     _check_alpha_for(rep.group, alpha)
     grp = rep.group
-    n = grp.order
+    n, table, inverses, orders = grp.order, grp.table, grp.inverses, grp.orders
     L, tab = alpha.L, alpha.ints
     g, h = rep.g, rep.h
-    a, b, c, d = matrix.entries()
+    a, b, c, d = matrix.a, matrix.b, matrix.c, matrix.d
     acc = 0
     while True:
-        if abs(a) < abs(c) or not c and a != 1:
-            gi = grp.inv(g)
+        # S while |a| < |c|, or at M = -T^b (c = 0, a = -1)
+        if -c < a < c if c > 0 else c < a < -c or not c and a < 0:
+            gi = inverses[g]
             acc += (tab[(g * n + h) * n + gi] - tab[(g * n + gi) * n + h]
                     - tab[(h * n + g) * n + gi])
             g, h, a, b, c, d = h, gi, c, d, -a, -b
             continue
-        q = a // c if c else b
-        moved = grp.mul(grp.power(g, q), h)
-        x, m, k = (h if q > 0 else moved), abs(q), grp.order_of(g)
+        q = (a + a + c) // (c + c) if c else b
+        row, col, k = table[g], g * n * n + g, orders[g]
+        m = q if q > 0 else -q
+        x = h
+        if q < 0:
+            for _ in range(q % k):
+                x = row[x]
+            h = x
         t = 0
-        for j in range(min(k, m)):
-            t += (m // k + (j < m % k)) * tab[(g * n + x) * n + g]
-            x = grp.mul(g, x)
+        for _ in range(m % k):
+            t += tab[col + x * n]
+            x = row[x]
+        if q > 0:
+            h = x
+        if m >= k:
+            cycle = t
+            for _ in range(k - m % k):
+                cycle += tab[col + x * n]
+                x = row[x]
+            t += m // k * cycle
         acc += t if q > 0 else -t
         if not c:
             return QZ(acc, L)
-        h, a, b = moved, a - q * c, b - q * d
+        a, b = a - q * c, b - q * d
 
 
 def dehn_character(group, element, alpha):

@@ -8,18 +8,24 @@ ever enters.
 
 A value is stored as two ints p, q with 0 <= p < q and gcd(p, q) = 1.
 Built from two ints, it is reduced by one % and one gcd; the arithmetic
-works on these pairs.  Fraction appears only where a caller hands one in
-or asks for one: a Fraction, bool or str argument is read through
-Fraction (a QZ argument is copied), as_fraction() returns one, and the
-hash is that of Fraction(p, q), which compares equal to the value.
+works on these pairs, and a lone int is the zero residue.  Fraction
+appears only where a caller hands one in or asks for one: a Fraction,
+bool or str argument is read through Fraction (a QZ argument is copied)
+and as_fraction() returns one.  The hash is Python's documented hash of
+the rational p/q, p times the inverse of q modulo sys.hash_info.modulus
+(or sys.hash_info.inf when the modulus divides q), so a value hashes as
+the Fraction(p, q) and int it compares equal to.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
+from sys import hash_info
 
 from .errors import ValidationError
+
+_HASH_MODULUS, _HASH_INF = hash_info.modulus, hash_info.inf
 
 
 class QZ:
@@ -28,15 +34,20 @@ class QZ:
     __slots__ = ("_p", "_q")
 
     def __init__(self, numerator=0, denominator=None):
-        if type(numerator) is int and type(denominator) is int:
-            if denominator < 0:
-                numerator, denominator = -numerator, -denominator
-            elif not denominator:
-                raise ZeroDivisionError("Fraction(%d, 0)" % numerator)
-            p = numerator % denominator
-            g = gcd(p, denominator)
-            self._p, self._q = p // g, denominator // g
-            return
+        if type(numerator) is int:
+            if type(denominator) is int:
+                if denominator < 0:
+                    numerator, denominator = -numerator, -denominator
+                elif not denominator:
+                    raise ZeroDivisionError("Fraction(%d, 0)" % numerator)
+                p = numerator % denominator
+                g = gcd(p, denominator)
+                self._p, self._q = p // g, denominator // g
+                return
+            if denominator is None:
+                # an integer is the zero residue
+                self._p, self._q = 0, 1
+                return
         if isinstance(numerator, QZ):
             self._p, self._q = numerator._p, numerator._q
             return
@@ -120,7 +131,10 @@ class QZ:
         return NotImplemented
 
     def __hash__(self):
-        return hash(Fraction(self._p, self._q))
+        # Python's hash of the rational p/q for p >= 0, as Fraction(p, q) has it
+        if self._q % _HASH_MODULUS:
+            return self._p * pow(self._q, -1, _HASH_MODULUS) % _HASH_MODULUS
+        return _HASH_INF
 
     def __str__(self):
         if not self._p:

@@ -565,6 +565,165 @@ def test_stabilizer_character_is_conjugation_invariant():
     assert flat_rows == sum(sections_dimension(grp, alpha) for grp, alpha in cases)
 
 
+def _r_diff_letters(rep, alpha, matrix):
+    """r_diff by the floor-quotient Euclid walk, one T letter at a time.
+
+    The reference for r_diff's walk: q = a // c, and each T^q block sums
+    its letters through the group's power, mul and order_of methods.
+    """
+    grp = rep.group
+    n = grp.order
+    L, tab = alpha.L, alpha.ints
+    g, h = rep.g, rep.h
+    a, b, c, d = matrix.entries()
+    acc = 0
+    while True:
+        if abs(a) < abs(c) or not c and a != 1:
+            gi = grp.inv(g)
+            acc += (tab[(g * n + h) * n + gi] - tab[(g * n + gi) * n + h]
+                    - tab[(h * n + g) * n + gi])
+            g, h, a, b, c, d = h, gi, c, d, -a, -b
+            continue
+        q = a // c if c else b
+        moved = grp.mul(grp.power(g, q), h)
+        x, m, k = (h if q > 0 else moved), abs(q), grp.order_of(g)
+        t = 0
+        for j in range(min(k, m)):
+            t += (m // k + (j < m % k)) * tab[(g * n + x) * n + g]
+            x = grp.mul(g, x)
+        acc += t if q > 0 else -t
+        if not c:
+            return QZ(acc, L)
+        h, a, b = moved, a - q * c, b - q * d
+
+
+def _random_sl2z(rnd, bound):
+    """A pseudo-random SL2(Z) matrix with every entry at most bound in size."""
+    while True:
+        a, c = rnd.randint(-bound, bound), rnd.randint(-bound, bound)
+        g, x, y = xgcd(a, c)
+        # a x + c y = 1, so [[a, -y], [c, x]] has determinant 1
+        if g == 1 and abs(x) <= bound and abs(y) <= bound:
+            return SL2Z(a, -y, c, x)
+
+
+def _edge_matrices(n):
+    """Matrices at the corners of the S/T walk, for a group of order n."""
+    big = 3 * n + 1
+    out = [SL2Z.identity(), SL2Z(-1, 0, 0, -1), SL2Z.S(), SL2Z.S().inverse()]
+    for b in (-1, -2, -n, -2 * n - 1):
+        # T^b and -T^b with b < 0: c = 0, and a = 1 or a = -1
+        out += [SL2Z(1, b, 0, 1), SL2Z(-1, -b, 0, -1)]
+    # |q| > n >= ord(g), of either sign and at either end of the walk
+    out += [SL2Z(1, 2 * n + 1, 0, 1), SL2Z(big, big - 1, 1, 1), SL2Z(-big, big - 1, 1, -1),
+            SL2Z(1, 0, big, 1), SL2Z(1, 0, -big, 1)]
+    # ties: 2|a - q c| = |c|, which needs |c| = 2; the last two reach it after an S
+    out += [SL2Z(3, 1, 2, 1), SL2Z(-3, 1, 2, -1), SL2Z(3, -1, -2, 1), SL2Z(-3, -1, -2, -1),
+            SL2Z(5, 2, 2, 1), SL2Z(-5, 2, 2, -1), SL2Z(2, 1, 3, 2), SL2Z(-2, 1, 3, -2)]
+    return out
+
+
+def test_r_diff_matches_letter_walk():
+    """r_diff's nearest-quotient walk on the flat tables gives the floor
+    walk's values at every pulled-back level of the small groups and on
+    the S3 cube twist: at the corners of the walk (the identity, -I, S,
+    S^-1, T^b and -T^b for b < 0, |q| > ord(g), ties), at random matrices
+    with entries up to 200, and at one up to 10**30 on a third of the levels."""
+    start = time.monotonic()
+    rnd = random.Random(18)
+    cube = _cube_twist()
+    cases = [(grp, _pulled_back_levels(grp)) for grp in _small_groups()]
+    cases.append((cube.group, [cube]))
+    checked = huge = 0
+    for grp, alphas in cases:
+        pairs = list(enumerate_bundles(grp, 1))
+        for alpha in alphas:
+            mats = _edge_matrices(grp.order)
+            mats += [_random_sl2z(rnd, 200) for _ in range(12)]
+            if rnd.randrange(3) == 0:
+                mats.append(_random_sl2z(rnd, 10**30))
+                huge += 1
+            for mat in mats:
+                rep = TorusRep(grp, *rnd.choice(pairs))
+                assert r_diff(rep, alpha, mat) == _r_diff_letters(rep, alpha, mat), (rep, mat)
+                checked += 1
+    assert checked == 509 * 37 + huge and huge > 120
+    assert time.monotonic() - start < 60.0
+
+
+def test_r_diff_conjugation_identity():
+    """r_diff(z rho z^-1, M) - hol(rho, z) = r_diff(rho, M) - hol(rho.M, z)
+    for M in {S, T, ST}, with hol = holonomy_cocycle_R and rho.M = sl2z_act.
+
+    Derivation.  Let gamma be a normalized lift of alpha pulled back along
+    rho and c(x, y) = gamma(x, y) - gamma(y, x), so r_diff(rho, M) =
+    c(M e2, M e1).  conjugate_lift(gamma, z) = gamma + beta lifts the
+    pullback along z rho z^-1, and beta(x, y) reads alpha only at rho x,
+    rho y and z; its antisymmetrization beta(x, y) - beta(y, x) is the
+    holonomy formula at the rep (rho x, rho y).  Two lifts of one cocycle
+    on Z^2 differ by a 2-cocycle, whose antisymmetrization is an
+    alternating bilinear form, lam det(x, y).  The conjugate lift's lam is
+    its asymmetry at (e1, e2), c(e1, e2) + hol(rho, z) = hol(rho, z),
+    against any normalized lift of z rho z^-1.  As det(M e2, M e1) = -1,
+
+        r_diff(z rho z^-1, M) = c'(M e2, M e1) + hol(rho, z),
+
+    with c' the conjugate lift's asymmetry; and since rho(M e1), rho(M e2)
+    are the images of rho.M,
+
+        c'(M e2, M e1) = c(M e2, M e1) + beta(M e2, M e1) - beta(M e1, M e2)
+                       = r_diff(rho, M) - hol(rho.M, z).
+
+    The identity is the difference of the two lines.  It runs at every
+    pulled-back level of the small groups and on the S3 cube twist, at
+    every commuting pair and every z on groups of order at most 8, and at
+    a seeded sample of pairs and z on the larger ones.  With +hol on both
+    sides it must fail somewhere, or the sign would go untested.
+    """
+    start = time.monotonic()
+    rnd = random.Random(1993)
+    mats = (SL2Z.S(), SL2Z.T(), SL2Z.S() @ SL2Z.T())
+    cube = _cube_twist()
+    cases = [(grp, _pulled_back_levels(grp)) for grp in _small_groups()]
+    cases.append((cube.group, [cube]))
+    checked = wrong_sign_fails = 0
+    for grp, alphas in cases:
+        pairs = list(enumerate_bundles(grp, 1))
+        reps = {pair: TorusRep(grp, *pair) for pair in pairs}
+        images = _Memo(lambda pair, i: sl2z_act(reps[pair], mats[i]))
+        for alpha in alphas:
+            if grp.order <= 8:
+                points = [(pair, z) for pair in pairs for z in grp.elements]
+            else:
+                points = [(rnd.choice(pairs), rnd.randrange(grp.order)) for _ in range(12)]
+            r = _Memo(lambda pair, i: r_diff(reps[pair], alpha, mats[i]))
+            hol = _Memo(lambda pair, z: holonomy_cocycle_R(reps[pair], alpha, z))
+            for (g, h), z in points:
+                moved = (grp.conj(z, g), grp.conj(z, h))
+                for i in range(len(mats)):
+                    # r(z rho z^-1) - r(rho) against hol(rho, z) - hol(rho.M, z)
+                    d_r = r[moved, i] - r[(g, h), i]
+                    image = images[(g, h), i]
+                    d_hol = hol[(g, h), z] - hol[(image.g, image.h), z]
+                    assert d_r == d_hol, (grp, alpha, g, h, z, mats[i])
+                    wrong_sign_fails += d_r != -d_hol
+                    checked += 1
+    assert checked > 100000 and wrong_sign_fails > 0
+    assert time.monotonic() - start < 60.0
+
+
+class _Memo(dict):
+    """A dict that fills a missing key (a tuple) from a function of its parts."""
+
+    def __init__(self, fn):
+        super().__init__()
+        self.fn = fn
+
+    def __missing__(self, key):
+        self[key] = value = self.fn(*key)
+        return value
+
+
 def _random_blocks(rnd):
     """A presentation with pair blocks, lone points and flip loops; the
     first block is always an invertible pair."""

@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -153,7 +154,13 @@ def test_every_operation_matches_fraction():
         fx, fy = Fraction(a, b), Fraction(c, d)
         x, y = QZ(a, b), QZ(c, d)
         _matches(x, fx)
+        # a lone int is the zero residue; bool, str and Fraction still go through Fraction
         _matches(QZ(a), Fraction(a))
+        _matches(QZ(b), Fraction(b))
+        _matches(QZ(a * b * 2**64), Fraction(0))
+        _matches(QZ(a > 0), Fraction(a > 0))
+        _matches(QZ(str(a)), Fraction(a))
+        _matches(QZ(str(fx)), fx)
         _matches(QZ(fx), fx)
         _matches(QZ(x), fx)
         _matches(QZ(QZ(a, b)), fx)
@@ -173,3 +180,24 @@ def test_every_operation_matches_fraction():
         _matches(x.halve(), Fraction(ref.numerator, 2 * ref.denominator))
         assert (x == y) == (fx % 1 == fy % 1)
         assert (x == c) == (fx % 1 == 0)
+
+
+def test_hash_is_the_rational_hash():
+    """hash(QZ(p, q)) is Python's hash of the rational p/q: p times the
+    inverse of q modulo sys.hash_info.modulus, or sys.hash_info.inf where
+    the modulus divides q.  It agrees with hash(Fraction(p, q)), q equal
+    to the modulus and to twice it included."""
+    modulus = sys.hash_info.modulus
+    rnd = random.Random(5)
+    dens = [1, 2, 3, modulus - 1, modulus, modulus + 1, 2 * modulus, 3 * modulus,
+            modulus * modulus, 2**61, 2**64 + 1]
+    dens += [rnd.randrange(1, bound) for bound in (10, 1000, 2**70) for _ in range(100)]
+    for q in dens:
+        for _ in range(5):
+            p = rnd.randrange(-3 * q, 3 * q)
+            x = QZ(p, q)
+            assert hash(x) == hash(Fraction(p, q) % 1) == hash(x.as_fraction())
+    for q in (modulus, 2 * modulus):
+        assert hash(QZ(1, q)) == hash(Fraction(1, q)) == sys.hash_info.inf
+    assert hash(QZ(0)) == hash(0) and hash(QZ(3, 2)) == hash(Fraction(1, 2))
+    assert len({QZ(1, 3), Fraction(1, 3), QZ(4, 3)}) == 1
