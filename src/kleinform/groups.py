@@ -131,7 +131,7 @@ class FiniteGroup:
         return self.table[a][b] == self.table[b][a]
 
     def __eq__(self, other):
-        return isinstance(other, FiniteGroup) and self.table == other.table
+        return other is self or isinstance(other, FiniteGroup) and self.table == other.table
 
     def __hash__(self):
         return hash(self.table)

@@ -9,10 +9,12 @@ dehn_character) and the conjugation holonomy are defined through a
 normalized lift of the pulled-back three-cocycle, but the lift cancels
 out of each: they are read from alpha's integer table over its common
 denominator, a few lookups per S or T letter or per conjugating element.
-sections_dimension reads the holonomy only at stabilizer elements, six
-lookups each, in one pass over commuting pairs weighted by stabilizer
-size.  klein_character is the closed form r_diff takes on Gamma1(n).  The
-tests keep the lift route (lifts.py, which imports this module, never the
+sections_dimension reads the holonomy only at stabilizer elements, where
+it is alternating in the commuting triple (g, h, z): six lookups once per
+triple g < h < z of distinct non-identity elements mark the non-flat
+pairs, and the flat pairs add up their stabilizer sizes.
+klein_character is the closed form r_diff takes on Gamma1(n).  The tests
+keep the lift route (lifts.py, which imports this module, never the
 reverse) as the reference.
 """
 
@@ -257,12 +259,20 @@ def r_diff(rep, alpha, matrix):
     r_diff is the 1-cocycle of the SL2(Z) action on commuting pairs
     (Freed-Quinn, CMP 156, 1993): r(rep, A B) = r(rep, A) + r(rep.A, B),
     with (g, h).S = (h, g^-1) and (g, h).T^q = (g, g^q h).  So Euclid's
-    algorithm on the first column peels S (while |a| < |c|, or at
-    M = -T^b) or T^q off M until M = T^b.  The law gives the same value
-    for every factorization of M, so any q with |a - q c| < |c| will do;
-    q = floor((2a + c) / 2c), the integer nearest a / c (halves round
-    up), leaves at most |c| / 2 for the next step and so fewer steps than
-    the floor a // c.
+    algorithm on the first column peels S (while |a| < |c|) or T^q off M
+    until c = 0, where M = T^b or M = -T^b = (-I) T^b.  With -I = S^2
+    the law on S S gives -I in one step, from (g, h) to
+    (h, g^-1).S = (g^-1, h^-1):
+
+        -I: alpha(g, h, g^-1) - alpha(g, g^-1, h) - alpha(h, g, g^-1)
+            + alpha(h, g^-1, h^-1) - alpha(h, h^-1, g^-1)
+            - alpha(g^-1, h, h^-1),
+
+    the S letter at (g, h) plus the S letter at (h, g^-1).  The law gives
+    the same value for every factorization of M, so any q with
+    |a - q c| < |c| will do; q = floor((2a + c) / 2c), the integer nearest
+    a / c (halves round up), leaves at most |c| / 2 for the next step and
+    so fewer steps than the floor a // c.
 
     T^q sums the letters alpha(g, x, g) for x = g^j h, j >= 0 (from
     x = g^q h, negated, when q < 0).  rep.T^k = rep for k = ord(g), so
@@ -282,13 +292,20 @@ def r_diff(rep, alpha, matrix):
     a, b, c, d = matrix.a, matrix.b, matrix.c, matrix.d
     acc = 0
     while True:
-        # S while |a| < |c|, or at M = -T^b (c = 0, a = -1)
-        if -c < a < c if c > 0 else c < a < -c or not c and a < 0:
+        # S while |a| < |c|
+        if -c < a < c if c > 0 else c < a < -c:
             gi = inverses[g]
             acc += (tab[(g * n + h) * n + gi] - tab[(g * n + gi) * n + h]
                     - tab[(h * n + g) * n + gi])
             g, h, a, b, c, d = h, gi, c, d, -a, -b
             continue
+        # -I at M = -T^b (c = 0, a = -1), leaving T^b
+        if not c and a < 0:
+            gi, hi = inverses[g], inverses[h]
+            acc += (tab[(g * n + h) * n + gi] - tab[(g * n + gi) * n + h]
+                    - tab[(h * n + g) * n + gi] + tab[(h * n + gi) * n + hi]
+                    - tab[(h * n + hi) * n + gi] - tab[(gi * n + h) * n + hi])
+            g, h, b = gi, hi, -b
         q = (a + a + c) // (c + c) if c else b
         row, col, k = table[g], g * n * n + g, orders[g]
         m = q if q > 0 else -q
@@ -385,34 +402,51 @@ def holonomy_cocycle_R(rep, alpha, z):
 def sections_dimension(group, alpha):
     """Number of conjugation orbits of torus reps with vanishing stabilizer character.
 
-    One pass over the commuting pairs rho = (g, h), with no orbit table.
-    The stabilizer of rho is C(g) & C(h), and a stabilizer element z fixes
-    g and h, so holonomy_cocycle_R(rho, z) loses its conjugations:
+    A stabilizer element z of rho = (g, h), in C(g) & C(h), fixes g and h,
+    so holonomy_cocycle_R(rho, z) loses its conjugations and is
 
-        alpha(z, g, h) - alpha(z, h, g) + alpha(g, h, z)
-        - alpha(h, g, z) - alpha(g, z, h) + alpha(h, z, g),
+        T(g, h, z) = alpha(z, g, h) - alpha(z, h, g) + alpha(g, h, z)
+                     - alpha(h, g, z) - alpha(g, z, h) + alpha(h, z, g),
 
-    six lookups in alpha's integer table, tested modulo L up to the first
-    nonzero one.  A flat pair adds |C(g, h)|, and the total over |G| is the
-    count.  Two facts make this exact.  The holonomy is a 1-cocycle of the
-    conjugation groupoid; its law on z s = (z s z^-1) z, for s fixing rho,
-    gives hol(z rho, z s z^-1) = hol(rho, s), so flatness is constant on
-    an orbit.  An orbit has |G| / |C(g, h)| members (orbit-stabilizer), so
-    each flat orbit adds exactly |G|.  Swapping g and h negates all six
-    terms and keeps the stabilizer, so only h >= g is read and a pair with
-    h != g counts twice.
+    the sum of sign(s) alpha(s(g, h, z)) over the permutations s.  A
+    transposition of the arguments permutes the terms and flips every
+    sign, so T is alternating: 0 with a repeated argument, +-T at the
+    sorted arguments, and 0 with an identity argument since alpha is
+    normalized.  So rho is non-flat exactly when T is nonzero modulo L at
+    the sorted g, h, z for some z, all three distinct, non-identity and
+    pairwise commuting.  The count reads T (six lookups in alpha's
+    integer table) once per such triple g < h < z and, when it is
+    nonzero, marks the triple's three pairs in the masks hot[x] (bit y
+    for the pair (x, y)).
+
+    A flat pair adds |C(g) & C(h)|, a popcount of two centralizer masks,
+    and the total over |G| is the count: flatness is constant on an
+    orbit, since the holonomy's 1-cocycle law on z s = (z s z^-1) z, for
+    s fixing rho, gives hol(z rho, z s z^-1) = hol(rho, s), and an orbit
+    has |G| / |C(g) & C(h)| members.
     """
     _check_alpha_for(group, alpha)
     n, L, tab, table = group.order, alpha.L, alpha.ints, group.table
+    nn = n * n
     cent = [[x for x in range(n) if row[x] == table[x][g]] for g, row in enumerate(table)]
-    total = 0
-    for g, cg in enumerate(cent):
-        for h in cg[cg.index(g):]:
-            row = table[h]
-            stab = [z for z in cg if row[z] == table[z][h]]
-            gh, hg = (g * n + h) * n, (h * n + g) * n
-            if not any((tab[(z * n + g) * n + h] - tab[(z * n + h) * n + g] + tab[gh + z]
-                        - tab[hg + z] - tab[(g * n + z) * n + h] + tab[(h * n + z) * n + g]) % L
-                       for z in stab):
-                total += len(stab) * (1 + (h != g))
-    return total // n
+    mask = [sum([1 << x for x in c]) for c in cent]
+    hot = [0] * n
+    for g in range(1, n):
+        # h runs over C(g) above g and z over C(g) & C(h) above h, so the
+        # last element of C(g) has no z
+        cg, gn = cent[g], g * nn
+        for i in range(cg.index(g) + 1, len(cg) - 1):
+            h = cg[i]
+            mh, hn, gh, hg = mask[h], h * nn, (g * n + h) * n, (h * n + g) * n
+            bad = [z for z in cg[i + 1:] if mh >> z & 1
+                   and (tab[(z * n + g) * n + h] - tab[(z * n + h) * n + g] + tab[gh + z]
+                        - tab[hg + z] - tab[gn + z * n + h] + tab[hn + z * n + g]) % L]
+            if bad:
+                hot[g] |= 1 << h
+                hot[h] |= 1 << g
+                for z in bad:
+                    hot[g] |= 1 << z
+                    hot[h] |= 1 << z
+                    hot[z] |= 1 << g | 1 << h
+    return sum([(mask[g] & mask[h]).bit_count()
+                for g, cg in enumerate(cent) for h in cg if not hot[g] >> h & 1]) // n

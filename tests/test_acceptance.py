@@ -9,6 +9,7 @@ import os
 import random
 import time
 from fractions import Fraction
+from itertools import product
 from math import lcm
 
 import pytest
@@ -234,7 +235,7 @@ def test_integer_cochains_match_qz_reference():
     construction from values, the pullback, closedness (every entry of the
     full differential is zero) and normalization (zero at every flat index
     whose unflattened arguments include the identity).  At every level the
-    one-pass sections_dimension equals the orbit-by-orbit count."""
+    triple-route sections_dimension equals the orbit-by-orbit count."""
     for grp in _small_groups():
         n = grp.order
         with_identity = [flat for flat in range(n**3) if 0 in _unflatten(flat, n, 3)]
@@ -535,7 +536,7 @@ def test_section_dimensions_match_character_oracle():
 
 
 def test_stabilizer_character_is_conjugation_invariant():
-    """The lemma behind the one-pass count: for every torus_orbits row
+    """The lemma behind summing flat pairs: for every torus_orbits row
     rho, stabilizer element s and z in G, the stabilizer of z rho is
     z Stab(rho) z^-1 and hol(z rho, z s z^-1) = hol(rho, s), so the
     stabilizer character at z rho vanishes exactly when it does at rho."""
@@ -563,6 +564,96 @@ def test_stabilizer_character_is_conjugation_invariant():
                 assert moved_flat == (not any(values))
             flat_rows += not any(values)
     assert flat_rows == sum(sections_dimension(grp, alpha) for grp, alpha in cases)
+
+
+def _pair_sections(group, alpha):
+    """The pair-by-pair section count: the holonomy at each commuting pair
+    (g, h) with h >= g, six lookups per stabilizer element z, tested
+    modulo L up to the first nonzero one; a flat pair adds |C(g, h)|,
+    twice when h != g, and the total over |G| is the count."""
+    n, L, tab, table = group.order, alpha.L, alpha.ints, group.table
+    cent = [[x for x in range(n) if row[x] == table[x][g]] for g, row in enumerate(table)]
+    total = 0
+    for g, cg in enumerate(cent):
+        for h in cg[cg.index(g):]:
+            row = table[h]
+            stab = [z for z in cg if row[z] == table[z][h]]
+            gh, hg = (g * n + h) * n, (h * n + g) * n
+            if not any((tab[(z * n + g) * n + h] - tab[(z * n + h) * n + g] + tab[gh + z]
+                        - tab[hg + z] - tab[(g * n + z) * n + h] + tab[(h * n + z) * n + g]) % L
+                       for z in stab):
+                total += len(stab) * (1 + (h != g))
+    return total // n
+
+
+def _coboundary_shift(rnd, grp, alpha):
+    """alpha + d(beta) for a seeded 2-cochain beta with values in
+    (1/12)Z/Z, 0 at the identity (index 0) so the sum stays normalized."""
+    beta = Cochain.from_function(
+        grp, 2, lambda a, b: QZ(0) if 0 in (a, b) else QZ(rnd.randrange(12), 12))
+    d = differential(beta)
+    return Cochain.from_function(grp, 3, lambda a, b, c: alpha(a, b, c) + d(a, b, c))
+
+
+def test_triple_sections_match_pair_route():
+    """sections_dimension, one holonomy read per commuting triple, gives
+    the pair-by-pair count at every pulled-back level of the small groups,
+    on the (Z/2)^3 cup cocycle, the S3 cube twist and a coboundary on S3,
+    and at seeded coboundary shifts alpha + d(beta) of all of those; and on
+    the cup cocycle pulled back along every endomorphism of (Z/2)^3, whose
+    168 automorphisms each keep 22 sections of 64."""
+    rnd = random.Random(19)
+    s3 = symmetric3()
+    eta = Cochain.from_function(s3, 2, lambda a, b: QZ(1, 4) if (a, b) == (3, 4) else QZ(0))
+    v8, cup = _cup_cocycle()
+    cases = [(grp, alpha) for grp in _small_groups() for alpha in _pulled_back_levels(grp)]
+    cases += [(v8, cup), (s3, _cube_twist()), (s3, differential(eta))]
+    cases += [(grp, _coboundary_shift(rnd, grp, alpha)) for grp, alpha in cases]
+    cases += [(v8, alpha) for alpha in {pullback_cochain(cup, hom) for hom in all_homs(v8, v8)}]
+    counts = []
+    for grp, alpha in cases:
+        count = sections_dimension(grp, alpha)
+        assert count == _pair_sections(grp, alpha), (grp, alpha)
+        counts.append(count)
+    assert len(cases) == 2 * 511 + 344
+    assert counts[508:511] == [22, 8, 8] and counts[1019:1022] == [22, 8, 8]
+    assert sorted(counts[1022:]) == [22] * 168 + [64] * 176
+
+
+def _alternating(alpha, g, h, z):
+    """T(g, h, z): alpha at the six orders of (g, h, z), with the sign of
+    each permutation."""
+    return (alpha(z, g, h) - alpha(z, h, g) + alpha(g, h, z)
+            - alpha(h, g, z) - alpha(g, z, h) + alpha(h, z, g))
+
+
+def test_stabilizer_holonomy_is_alternating():
+    """The lemma behind the triple count: on every pairwise-commuting
+    triple (g, h, z), T takes sign(s) T under each of the six
+    permutations s, is 0 with a repeated argument or with the identity,
+    and equals holonomy_cocycle_R at (g, h) and z."""
+    v8, cup = _cup_cocycle()
+    cube = _cube_twist()
+    cases = [(cube.group, cube), (v8, cup)]
+    for grp in (dihedral(4), dicyclic(2), alternating4()):
+        cases += [(grp, alpha) for alpha in _pulled_back_levels(grp)]
+    perms = [((0, 1, 2), 1), ((1, 2, 0), 1), ((2, 0, 1), 1),
+             ((1, 0, 2), -1), ((0, 2, 1), -1), ((2, 1, 0), -1)]
+    nonzero = 0
+    for grp, alpha in cases:
+        for g, h, z in product(grp.elements, repeat=3):
+            if not (grp.commutes(g, h) and grp.commutes(g, z) and grp.commutes(h, z)):
+                continue
+            args = (g, h, z)
+            t = _alternating(alpha, g, h, z)
+            for perm, sign in perms:
+                moved = _alternating(alpha, *(args[i] for i in perm))
+                assert moved == (t if sign > 0 else -t), (args, perm)
+            if len(set(args)) < 3 or 0 in args:
+                assert t == QZ(0), args
+            assert holonomy_cocycle_R(TorusRep(grp, g, h), alpha, z) == t
+            nonzero += bool(t)
+    assert nonzero > 0
 
 
 def _r_diff_letters(rep, alpha, matrix):
