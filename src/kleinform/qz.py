@@ -10,11 +10,12 @@ A value is stored as two ints p, q with 0 <= p < q and gcd(p, q) = 1.
 Built from two ints, it is reduced by one % and one gcd; the arithmetic
 works on these pairs, and a lone int is the zero residue.  Fraction
 appears only where a caller hands one in or asks for one: a Fraction,
-bool or str argument is read through Fraction (a QZ argument is copied)
-and as_fraction() returns one.  The hash is Python's documented hash of
-the rational p/q, p times the inverse of q modulo sys.hash_info.modulus
-(or sys.hash_info.inf when the modulus divides q), so a value hashes as
-the Fraction(p, q) and int it compares equal to.
+bool or str argument is read through Fraction (a QZ argument is copied,
+and refused with a denominator) and as_fraction() returns one.  The hash
+is Python's documented hash of the rational p/q, p times the inverse of
+q modulo sys.hash_info.modulus (or sys.hash_info.inf when the modulus
+divides q), so a value hashes as the Fraction(p, q) and int it compares
+equal to.
 """
 
 from __future__ import annotations
@@ -49,6 +50,9 @@ class QZ:
                 self._p, self._q = 0, 1
                 return
         if isinstance(numerator, QZ):
+            if denominator is not None:
+                # x/q in Q/Z has q answers, so no one of them is returned
+                raise ValidationError("QZ takes no denominator with a QZ numerator")
             self._p, self._q = numerator._p, numerator._q
             return
         if isinstance(numerator, float) or isinstance(denominator, float):

@@ -5,7 +5,6 @@ import tracemalloc
 
 import pytest
 
-from kleinform import cochains
 from kleinform.cochains import (
     Cochain,
     alpha_cyclic,
@@ -19,8 +18,8 @@ from kleinform.cochains import (
     validate_cochain,
 )
 from kleinform.errors import KleinformError, ValidationError
-from kleinform.groups import (GroupHom, alternating4, cyclic, dicyclic, dihedral, direct_product,
-                              klein4, symmetric3)
+from kleinform.groups import (GroupHom, all_homs, alternating4, cyclic, dicyclic, dihedral,
+                              direct_product, generating_set, klein4, symmetric3)
 from kleinform.moduli import SL2Z, TorusRep, r_diff
 from kleinform.qz import QZ
 
@@ -205,18 +204,23 @@ def _cup_alpha_v8():
 
 def test_is_closed_agrees_with_full_differential_on_perturbations():
     # one entry of a closed cocycle moved at the first, the last and random
-    # flat indices; is_closed packs whole blocks, the oracles read every entry
+    # flat indices, and at entries whose first argument is not a generator;
+    # is_closed reads the runs of generator first arguments only, the
+    # oracles read every entry
     rnd = random.Random(23)
     cube = load_cochain_file(os.path.join(DATA, "s3_cubetwist.cochain"))
+    cup = _cup_alpha_v8()[1]
+    a4 = alternating4()
+    to_z3 = next(h for h in all_homs(a4, cyclic(3)) if any(h.images))
+    a4_level = pullback_cochain(alpha_cyclic(3, 1), to_z3)
     cases = []
-    for alpha in (cube, _cup_alpha_v8()[1]):
+    for alpha in (cube, cup):
         assert is_closed(alpha)
         cases.append((alpha, 6))
-    # closed coboundaries d(beta) over L = 51 (one-byte fields), 52 (the
-    # least L with two-byte fields), the largest L with eight-byte fields
-    # and 3**50 (past the packed route), bumped by a multiple of 1/L
+    # closed coboundaries d(beta) over L = 51, 52, (256**8 - 1) // 5 and
+    # 3**50, small to large denominators, bumped by a multiple of 1/L
     widest = (256**8 - 1) // 5
-    groups = (cyclic(1), symmetric3(), dihedral(4), dicyclic(2), alternating4())
+    groups = (cyclic(1), symmetric3(), dihedral(4), dicyclic(2), a4)
     for group in groups:
         for L in (51, 52, widest, 3**50):
             n = group.order
@@ -225,6 +229,14 @@ def test_is_closed_agrees_with_full_differential_on_perturbations():
             assert coboundary.L == (L if n > 1 else 1)
             assert is_closed(coboundary) and _closed_by_five_terms(coboundary)
             cases.append((coboundary, L))
+    # closed, non-normalized alpha + d(beta), beta not normalized either
+    for alpha in (cube, cup, a4_level):
+        n = alpha.group.order
+        beta = Cochain(alpha.group, 2, [QZ(rnd.randrange(12), 12) for _ in range(n * n)])
+        shifted = Cochain(alpha.group, 3,
+                          [x + y for x, y in zip(alpha.values, differential(beta).values)])
+        assert is_closed(shifted) and not is_normalized(shifted)
+        cases.append((shifted, 12))
     tables = []
     for alpha, L in cases:
         size = len(alpha.values)
@@ -232,8 +244,31 @@ def test_is_closed_agrees_with_full_differential_on_perturbations():
             values = list(alpha.values)
             values[flat] += QZ(rnd.randrange(1, L), L)
             tables.append(Cochain(alpha.group, 3, values))
-    # every entry 0 or L - 1 puts the biased fields of the packed sums at
-    # their extremes, 2 and 5L - 3
+    # a bump at every first argument outside the generating set, the
+    # identity included: (Z/2)^3 has three generators, A4 two
+    for alpha, L, rank in ((cup, 2, 3), (a4_level, 3, 2)):
+        n, gens = alpha.group.order, generating_set(alpha.group)
+        assert len(gens) == rank
+        for a in set(range(n)) - set(gens):
+            values = list(alpha.values)
+            values[a * n * n + rnd.randrange(n * n)] += QZ(rnd.randrange(1, L), L)
+            bumped = Cochain(alpha.group, 3, values)
+            assert not is_closed(bumped)
+            tables.append(bumped)
+    # a normalized, non-closed cochain pulled back along a quotient: dc
+    # vanishes on every run whose first argument lies in the kernel, which
+    # holds a generator (1 of (Z/2)^3, 3 of A4), and on no other run
+    v8 = cup.group
+    for hom in (GroupHom(v8, klein4(), [x >> 1 for x in range(8)]), to_z3):
+        gens = generating_set(hom.source)
+        assert any(hom(g) == 0 for g in gens)
+        for _ in range(3):
+            top = Cochain.from_function(hom.target, 3, lambda a, b, cc: QZ(
+                rnd.randrange(6) if a and b and cc else 0, 6))
+            pulled = pullback_cochain(top, hom)
+            assert not is_closed(pulled)
+            tables.append(pulled)
+    # tables with every entry 0 or L - 1, the extremes of each term of dc
     for group in groups[:4]:
         for L in (1, 2, 51, 52, 256, widest, 3**50):
             for _ in range(3):
@@ -254,17 +289,18 @@ def test_is_closed_agrees_with_full_differential_on_perturbations():
     assert any(closed) and not all(closed)
 
 
-def test_is_closed_reads_a_huge_denominator_entry_by_entry(monkeypatch):
-    # 5L is far past 256**8, so the packed route, whose fields would take
-    # over 1,600 bytes each, must not be taken; the first bad row answers
-    def packed(c):
-        raise AssertionError("packed route taken for a %d-digit L" % len(str(c.L)))
-
-    monkeypatch.setattr(cochains, "_closed_degree3", packed)
+def test_is_closed_reads_a_huge_denominator_entry_by_entry():
+    # entries of 4,000 digits: a bad entry answers False, and a closed
+    # cochain answers True after reading every generator run
     big = 10**3999 + 7
     c = parse_cochain_text("group cyclic:48 degree 3\n0 0 1 1/%d\n" % big)
     assert c.L == big
     assert not is_closed(c)
+    rnd = random.Random(41)
+    beta = Cochain(symmetric3(), 2, [QZ(rnd.randrange(big), big) for _ in range(36)])
+    coboundary = differential(beta)
+    assert coboundary.L == big
+    assert is_closed(coboundary)
 
 
 def test_validation_keeps_no_reference_to_the_cochain():
