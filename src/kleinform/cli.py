@@ -3,11 +3,15 @@
 Exit codes: 0 on success, 1 on a domain error (reported as ``error: ...``
 on stderr) or a failed verification, 2 on a usage error (argparse).
 All output is deterministic: identical argv gives byte-identical stdout.
+
+A command in its plain form (the command name, then each option once as
+``--name value`` or ``--name=value``) is read straight from the command
+table; argparse is imported only for help and for usage errors, and stays
+the one writer of help and usage text.
 """
 
-import argparse
-import csv
 import sys
+from types import SimpleNamespace
 
 from .cochains import Cochain, alpha_cyclic, load_cochain_file, validate_cochain
 from .errors import KleinformError
@@ -27,6 +31,7 @@ def _int_tuple(count, message):
                 return tuple(int(p) for p in parts)
         except ValueError:
             pass
+        import argparse  # loaded only when a value is refused
         raise argparse.ArgumentTypeError(message)
     return parse
 
@@ -69,6 +74,7 @@ def _emit(fmt, header, rows, plain):
     on one line; _RECORD writes "name: value" for each nonempty value.
     """
     if fmt == "csv":
+        import csv
         writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
@@ -149,6 +155,7 @@ _COMMANDS = {
 
 
 def build_parser():
+    import argparse
     parser = argparse.ArgumentParser(
         prog="kleinform",
         description="exact cocycle, lift, and character computations for finite groups")
@@ -178,13 +185,56 @@ def _bind_negative_values(argv):
     return out
 
 
+def _read_plain(argv):
+    """The arguments of a command in its plain form as a dict, else None.
+
+    The plain form is a command name, then --name value or --name=value
+    tokens: each name one of the command's options or --format, none
+    repeated, no separate value starting with "-", every value accepted by
+    its type and every option of the command present.  The dict is then
+    the one vars(build_parser().parse_args(argv)) gives.  Anything else
+    (help, an abbreviation, a repeat, a stray token, a bad value) is left
+    to argparse, which reads it again and writes the usage text.
+    """
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    kinds = dict(_COMMANDS[argv[0]][1], format=None)
+    values, i = {}, 1
+    while i < len(argv):
+        name, eq, value = argv[i].partition("=")
+        if not eq:
+            if i + 1 == len(argv) or argv[i + 1][:1] == "-":
+                return None
+            i += 1
+            value = argv[i]
+        i += 1
+        option = name[2:]
+        if name[:2] != "--" or option not in kinds or option in values:
+            return None
+        kind = kinds[option]
+        if kind is not None:
+            try:
+                value = kind(value)
+            except Exception:  # argparse calls kind again and reports or raises
+                return None
+        values[option] = value
+    values.setdefault("format", "plain")
+    if len(values) != len(kinds) or values["format"] not in ("plain", "csv"):
+        return None
+    values["command"] = argv[0]
+    return values
+
+
 def main(argv=None):
-    argv = sys.argv[1:] if argv is None else list(argv)
-    args = build_parser().parse_args(_bind_negative_values(argv))
+    argv = _bind_negative_values(sys.argv[1:] if argv is None else argv)
+    values = _read_plain(argv)
+    if values is None:
+        values = vars(build_parser().parse_args(argv))
+    args = SimpleNamespace(**values)
     try:
-        if "group" in args:  # each command's group and level are parsed once, here
+        if "group" in values:  # each command's group and level are parsed once, here
             args.group = parse_group_spec(args.group)
-            if "level" in args:
+            if "level" in values:
                 args.level = _resolve_level(args.group, args.level)
         code, header, rows, plain = _COMMANDS[args.command][2](args)
     except KleinformError as exc:

@@ -19,17 +19,15 @@ on that table; QZ values are built only when asked for.  Closedness and
 normalization are computed once and kept on the cochain.
 """
 
-from __future__ import annotations
-
 from fractions import Fraction
 from itertools import chain
 from math import gcd, lcm
 
 from .errors import KleinformError, ValidationError, exact_int
-from .groups import (MAX_ORDER, FiniteGroup, cyclic, generating_set, parse_group_spec,
-                     read_lines)
+from .groups import (MAX_ORDER, MAX_TABLE_BITS, FiniteGroup, cyclic, generating_set,
+                     parse_group_spec, read_lines)
 from .intmat import solve_sparse
-from .qz import QZ
+from .qz import QZ, parse_residue
 
 MAX_DEGREE = 4
 
@@ -59,6 +57,7 @@ class Cochain:
                 % (len(values), group.order**degree)
             )
         L = lcm(*{v.denominator for v in values})
+        _check_table_bits(sum(map(bool, values)), L)
         self._set(group, degree, L, tuple(v.numerator * (L // v.denominator) for v in values))
         self._values = values
 
@@ -127,6 +126,14 @@ class Cochain:
 
     def __repr__(self):
         return "Cochain(degree=%d, group order %d)" % (self.degree, self.group.order)
+
+
+def _check_table_bits(nonzero, L):
+    """Refuse nonzero numerators over L that would take more than MAX_TABLE_BITS bits."""
+    if nonzero * L.bit_length() > MAX_TABLE_BITS:
+        raise KleinformError(
+            "cochain of %d nonzero values over a %d-bit common denominator exceeds the "
+            "budget of %d bits" % (nonzero, L.bit_length(), MAX_TABLE_BITS))
 
 
 def _unflatten(flat, n, degree):
@@ -355,7 +362,7 @@ def _cochain_from_lines(lines):
         raise KleinformError(
             "cochain table of %d entries exceeds the cap %d" % (n**degree, MAX_ORDER**3)
         )
-    vals = {}
+    vals, L, nonzero = {}, 1, 0
     for ln in lines[1:]:
         parts = ln.split()
         if len(parts) != degree + 1:
@@ -372,8 +379,16 @@ def _cochain_from_lines(lines):
         if idx in vals:
             raise KleinformError("cochain line repeats the arguments of an earlier line: %r" % ln)
         try:
-            vals[idx] = QZ.from_str(parts[-1])
+            p, q = parse_residue(parts[-1])
         except ValueError:
             raise KleinformError("bad value in cochain line %r" % ln)
-    zero = QZ(0)
-    return Cochain(group, degree, [vals.get(i, zero) for i in range(n**degree)])
+        vals[idx] = p, q
+        if p:  # L grows entry by entry, and the table is refused before it is scaled
+            nonzero += 1
+            L = lcm(L, q)
+            _check_table_bits(nonzero, L)
+    ints = [0] * n**degree
+    for idx, (p, q) in vals.items():
+        ints[idx] = p * (L // q)
+    vals.clear()  # the pairs are freed before _from_ints reads and copies the table
+    return Cochain._from_ints(group, degree, L, ints)

@@ -6,8 +6,6 @@ identity, inverses) so that everything downstream may trust the table
 blindly.  Sizes stay at desk scale; nothing here tries to be clever.
 """
 
-from __future__ import annotations
-
 from itertools import permutations
 from operator import itemgetter
 
@@ -17,6 +15,13 @@ from .errors import KleinformError, ValidationError, exact_int, exact_ints
 # has order**3 entries and its closedness check reads order**3 differential
 # values per generator; verify-alpha on cyclic:48 takes about 0.06 s.
 MAX_ORDER = 48
+
+# Largest size of a cochain's numerator table in bits: (nonzero values) times
+# the bit length of their common denominator L.  A cochain file or a Cochain
+# over a larger table is refused before any value is scaled to L.  The costliest
+# files under it take about 0.3 s for verify-alpha on cyclic:48 (all 110,592
+# values over one 37-bit L: 57 MB; 17 coprime 4,000-digit denominators: 17 MB).
+MAX_TABLE_BITS = 2**22
 
 
 def _check_order(n):

@@ -11,8 +11,6 @@ their denominators; Fractions appear in back-substitution alone, and the
 final check of every row works over one common denominator.
 """
 
-from __future__ import annotations
-
 import heapq
 from fractions import Fraction
 from math import lcm

@@ -22,8 +22,6 @@ from alpha, and the tests use this module as the reference route.  The
 one cache, of certified staircases, is unbounded; only the tests fill it.
 """
 
-from __future__ import annotations
-
 from fractions import Fraction
 from itertools import accumulate, product
 from math import gcd, lcm

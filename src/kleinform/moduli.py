@@ -18,8 +18,6 @@ keep the lift route (lifts.py, which imports this module, never the
 reverse) as the reference.
 """
 
-from __future__ import annotations
-
 from itertools import product
 
 from .cochains import Cochain, is_closed, is_normalized

@@ -18,8 +18,6 @@ divides q), so a value hashes as the Fraction(p, q) and int it compares
 equal to.
 """
 
-from __future__ import annotations
-
 from fractions import Fraction
 from math import gcd
 from sys import hash_info
@@ -27,6 +25,24 @@ from sys import hash_info
 from .errors import ValidationError
 
 _HASH_MODULUS, _HASH_INF = hash_info.modulus, hash_info.inf
+
+
+def parse_residue(text):
+    """The reduced pair (p, q), 0 <= p < q, of "p/q" or of a bare integer string.
+
+    A bare integer is the zero residue (0, 1).  Raises ValueError on
+    malformed text, a zero denominator included.
+    """
+    text = text.strip()
+    num, slash, den = text.partition("/")
+    p, q = int(num), int(den) if slash else 1
+    if not q:
+        raise ValueError("zero denominator in %r" % text)
+    if q < 0:
+        p, q = -p, -q
+    p %= q
+    g = gcd(p, q)
+    return p // g, q // g
 
 
 class QZ:
@@ -81,14 +97,7 @@ class QZ:
 
         Raises ValueError on malformed text, a zero denominator included.
         """
-        text = text.strip()
-        if "/" in text:
-            num, den = text.split("/", 1)
-            num, den = int(num), int(den)
-            if not den:
-                raise ValueError("zero denominator in %r" % text)
-            return cls(num, den)
-        return cls(int(text))
+        return cls(*parse_residue(text))
 
     def __add__(self, other):
         if isinstance(other, (QZ, int, Fraction)):

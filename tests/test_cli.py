@@ -1,4 +1,6 @@
 import os
+import random
+import subprocess
 import sys
 import time
 import tracemalloc
@@ -9,6 +11,7 @@ from kleinform import cli, groupoid_lines
 from kleinform.cli import main
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 def run(capsys, argv):
@@ -437,3 +440,140 @@ def test_groupoid_file_rejects_repeated_comp_and_val(tmp_path, capsys):
         path.write_text(text + extra)
         rc, out, err = run(capsys, ["groupoid-check", "--file", str(path)])
         assert (rc, out, err) == (1, "", "error: %s\n" % message)
+
+
+# every command line in README, as main receives it
+README_ARGV = (
+    ["klein", "--n", "5", "--level", "2", "--matrix", "1,5,1,6"],
+    ["verify-alpha", "--group", "cyclic:6", "--level", "4"],
+    ["enumerate", "--group", "cyclic:2", "--genus", "1", "--format", "csv"],
+    ["orbits", "--group", "s3"],
+    ["character", "--group", "s3", "--level", "file:tests/data/s3_cubetwist.cochain",
+     "--rep", "3,0", "--matrix", "1,3,0,1"],
+    ["dehn", "--group", "s3", "--level", "file:tests/data/s3_cubetwist.cochain", "--elt", "3"],
+    ["dim", "--group", "cyclic:3", "--level", "1"],
+    ["groupoid-check", "--file", "tests/data/flip.groupoid"],
+)
+
+_SAMPLE_VALUES = {"group": "cyclic:3", "level": "1", "rep": "1,0", "matrix": "-1,3,0,-1",
+                  "genus": "2", "n": "5", "elt": "1", "file": "tests/data/flip.groupoid"}
+
+
+def _argv(command, pairs, rnd):
+    """command, then each (option, value) pair as --option=value or --option value."""
+    argv = [command]
+    for option, value in pairs:
+        if rnd.random() < 0.5:
+            argv.append("--%s=%s" % (option, value))
+        else:
+            argv += ["--" + option, value]
+    return argv
+
+
+def _reader_corpus(rnd):
+    """(well formed, argv): each command in shuffled plain forms, and mutations of them."""
+    for argv in README_ARGV:
+        yield True, argv
+    for command, (_, options, _) in cli._COMMANDS.items():
+        names = [option for option, _ in options]
+        for fmt in (None, "plain", "csv"):
+            pairs = [(option, _SAMPLE_VALUES[option]) for option in names]
+            pairs += [("format", fmt)] if fmt else []
+            for _ in range(4):
+                rnd.shuffle(pairs)
+                yield True, _argv(command, pairs, rnd)
+            first = names[0]
+            yield True, [command] + ["--%s=%s" % pair for pair in pairs]
+            yield True, [command] + [t for option, value in pairs for t in ("--" + option, value)]
+            for mutated in (
+                    pairs + pairs[:1],                                  # a repeated option
+                    [pair for pair in pairs if pair[0] != first],       # a missing option
+                    pairs + [("window", "4")],                          # an unknown option
+                    # an abbreviation (for --n, an unknown name) and bad ints
+                    [(first[:-1] or first + "x", value) if option == first else (option, value)
+                     for option, value in pairs],
+                    pairs + [("genus", "x"), ("n", "1.5"), ("elt", "")],
+                    [(option, "x") for option, _ in pairs],             # bad values
+                    [(option, "1,2,3") for option, _ in pairs],
+                    pairs + [("format", "xml")],
+                    [(option, "") for option, _ in pairs],              # empty values
+            ):
+                yield False, _argv(command, mutated, rnd)
+            plain = [t for option, value in pairs for t in ("--" + option, value)]
+            for argv in (plain + ["-h"], ["-h"] + plain, plain + ["extra"],
+                         ["extra"] + plain, plain + ["--level", "-3"],
+                         plain[:1] + ["-3"] + plain[1:], plain[:1] + ["-x"] + plain[1:],
+                         plain[:-1] + ["-x"], ["++" + plain[0][2:]] + plain[1:],
+                         plain[:1], plain + ["--"], plain + ["--format"]):
+                yield False, [command] + argv
+            yield False, ["frobnicate"] + plain
+    yield False, []
+    yield False, ["--help"]
+    yield False, ["-h", "dim", "--group", "cyclic:3", "--level", "1"]
+
+
+def test_plain_reader_agrees_with_argparse(capsys):
+    # argparse is the oracle: the reader answers None or exactly what
+    # parse_args gives, and None wherever argparse exits.  Both read argv
+    # after _bind_negative_values, as main does.
+    parser = cli.build_parser()
+    answered = 0
+    for well_formed, argv in _reader_corpus(random.Random(7)):
+        argv = cli._bind_negative_values(argv)
+        try:
+            expected = vars(parser.parse_args(argv))
+        except SystemExit:
+            expected = None
+        capsys.readouterr()
+        got = cli._read_plain(argv)
+        assert got is None or got == expected, argv
+        if well_formed:
+            assert got is not None and got == expected, argv
+        answered += got is not None
+    assert answered > 8 * 3 * 6
+    # a repeated option is left to argparse even where its last value would do
+    for argv in (["dim", "--group", "cyclic:3", "--level", "1", "--level", "1"],
+                 ["dim", "--format", "csv", "--group", "cyclic:3", "--level", "1",
+                  "--format=plain"]):
+        assert cli._read_plain(argv) is None and vars(parser.parse_args(argv))
+
+
+def test_plain_form_output_matches_argparse_route(capsys, monkeypatch):
+    # each README command answers the same with the reader turned off
+    outputs = [run(capsys, argv) for argv in README_ARGV]
+    monkeypatch.setattr(cli, "_read_plain", lambda argv: None)
+    assert [run(capsys, argv) for argv in README_ARGV] == outputs
+    assert outputs[6] == (0, "9\n", "")
+
+
+def _primes(count):
+    limit = 20 * count
+    sieve = bytearray([1]) * limit
+    for i in range(2, int(limit**0.5) + 1):
+        if sieve[i]:
+            sieve[i * i::i] = bytearray(len(range(i * i, limit, i)))
+    return [i for i in range(2, limit) if sieve[i]][:count]
+
+
+def test_coprime_denominators_fail_fast_in_bounded_memory(tmp_path):
+    # each of the 32,768 entries of cyclic:32 over its own prime: scaling the
+    # table to the lcm of its denominators would take about 2.4 GB
+    resource = pytest.importorskip("resource")
+    primes = iter(_primes(32**3))
+    path = tmp_path / "coprime.cochain"
+    path.write_text("group cyclic:32 degree 3\n" + "".join(
+        "%d %d %d 1/%d\n" % (a, b, c, next(primes))
+        for a in range(32) for b in range(32) for c in range(32)))
+    limit = 512 * 2**20
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    proc = subprocess.run(
+        [sys.executable, "-m", "kleinform", "verify-alpha", "--group", "cyclic:32",
+         "--level", "file:%s" % path],
+        capture_output=True, text=True, timeout=60, preexec_fn=cap,
+        env=dict(os.environ, PYTHONPATH=SRC))
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr.startswith("error: cochain of ") and "exceeds the budget" in proc.stderr
+    assert proc.stderr.count("\n") == 1

@@ -18,8 +18,9 @@ from kleinform.cochains import (
     validate_cochain,
 )
 from kleinform.errors import KleinformError, ValidationError
-from kleinform.groups import (GroupHom, all_homs, alternating4, cyclic, dicyclic, dihedral,
-                              direct_product, generating_set, klein4, symmetric3)
+from kleinform.groups import (MAX_TABLE_BITS, GroupHom, all_homs, alternating4, cyclic,
+                              dicyclic, dihedral, direct_product, generating_set, klein4,
+                              symmetric3)
 from kleinform.moduli import SL2Z, TorusRep, r_diff
 from kleinform.qz import QZ
 
@@ -435,6 +436,58 @@ def test_parse_cochain_text_caps_table_size():
     assert peak < 10**6
     c = parse_cochain_text("group cyclic:48 degree 3\n1 47 1 1/48\n")
     assert c(1, 47, 1) == QZ(1, 48) and c(1, 1, 47) == QZ(0)
+
+
+def test_parse_cochain_text_reads_values_as_qz_does():
+    # the parser reads each value as two ints; QZ.from_str is its reference
+    rnd = random.Random(43)
+    forms = ("-1/3", "1/-3", "4/6", "0/5", "3", "-7", "+2/4", "6/3", "5/12", "-25/-12",
+             "%d/%d" % (10**40 + 1, 3 * 10**39))
+    for _ in range(20):
+        cells = rnd.sample([(a, b) for a in range(6) for b in range(6)], 12)
+        values = [rnd.choice(forms) for _ in cells]
+        text = "group s3 degree 2\n" + "".join(
+            "%d %d %s\n" % (a, b, v) for (a, b), v in zip(cells, values))
+        table = [QZ(0)] * 36
+        for (a, b), v in zip(cells, values):
+            table[a * 6 + b] = QZ.from_str(v)
+        assert parse_cochain_text(text) == Cochain(symmetric3(), 2, table)
+    for bad in ("3/", "/3", "1/0", "0/0", "x", "1/2/3", "1.5", "1/2.0"):
+        with pytest.raises(KleinformError, match="bad value in cochain line"):
+            parse_cochain_text("group cyclic:2 degree 1\n1 %s\n" % bad)
+
+
+def test_table_bit_budget_bounds_cochain_input():
+    # nonzero values times the bit length of their common denominator L may
+    # reach MAX_TABLE_BITS and not pass it: 2**11 values over a 2**11-bit L
+    # are the budget itself, one more is refused
+    q = 2**2047 + 1
+    count = MAX_TABLE_BITS // q.bit_length()
+    assert count == 2048
+    z16 = cyclic(16)
+    cells = ["%d %d %d" % (a, b, c) for a in range(16) for b in range(16) for c in range(16)]
+    lines = ["%s %d/%d" % (cell, i + 1, q) for i, cell in enumerate(cells)]
+    c = parse_cochain_text("group cyclic:16 degree 3\n" + "\n".join(lines[:count]))
+    assert c.L == q and sum(map(bool, c.ints)) == count
+    assert c == Cochain(z16, 3, [QZ(i + 1, q) if i < count else QZ(0) for i in range(4096)])
+    with pytest.raises(KleinformError, match="2049 nonzero values over a 2048-bit common "
+                                             "denominator exceeds the budget of 4194304 bits"):
+        parse_cochain_text("group cyclic:16 degree 3\n" + "\n".join(lines[:count + 1]))
+    with pytest.raises(KleinformError, match="exceeds the budget"):
+        Cochain(z16, 3, [QZ(i + 1, q) if i <= count else QZ(0) for i in range(4096)])
+    # a distinct prime denominator on each entry is refused after a few
+    # hundred lines, before any value is scaled to L
+    primes = [p for p in range(2, 40000) if all(p % d for d in range(2, int(p**0.5) + 1))]
+    text = "group cyclic:16 degree 3\n" + "\n".join(
+        "%s 1/%d" % (cell, p) for cell, p in zip(cells, primes))
+    tracemalloc.start()
+    try:
+        with pytest.raises(KleinformError, match="exceeds the budget"):
+            parse_cochain_text(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 10**6
 
 
 def test_round_trip_through_text():

@@ -8,6 +8,9 @@ functools.lru_cache or functools.cache: results such as a cochain's
 validation flags stay on the object, and caches are explicit module
 dicts (the staircase cache in lifts.py is unbounded, and only the tests
 fill it).
+A command in its plain form loads neither argparse nor csv: cli.py reads
+it from its command table, and imports argparse only for help and usage
+errors and csv only to write csv.
 Files are opened in one function only (groups.read_lines, which every
 parser reads through), and only cli.py prints or writes csv.  int() is
 called only by the text parsers; everywhere else a value that should be an
@@ -17,6 +20,8 @@ instead of truncating them.
 
 import ast
 import os
+import subprocess
+import sys
 
 import kleinform
 from kleinform import lifts, moduli
@@ -156,7 +161,7 @@ _TEXT_PARSERS = {
     ("cli.py", "_int_tuple"), ("cli.py", "_resolve_level"),
     ("groups.py", "_group_from_lines"), ("groups.py", "parse_group_spec"),
     ("cochains.py", "_cochain_from_lines"), ("groupoid_lines.py", "_groupoid_from_lines"),
-    ("qz.py", "QZ.from_str"),
+    ("qz.py", "parse_residue"),
 }
 
 
@@ -199,3 +204,43 @@ def test_int_is_called_only_in_text_parsers():
     outside = [(name, owner, line) for name, source in _sources()
                for owner, line in _int_conversions(source) if (name, owner) not in _TEXT_PARSERS]
     assert outside == []
+
+
+# Runs `python -m kleinform <argv>` in this process after importing
+# kleinform.cli, then reports on stderr which of argparse and csv were
+# loaded after the import and after the command, and the exit code.
+_RUN_MAIN = """
+import runpy, sys
+import kleinform.cli
+watched = ("argparse", "csv")
+before = [m for m in watched if m in sys.modules]
+sys.argv[0] = "kleinform"
+try:
+    runpy.run_module("kleinform", run_name="__main__", alter_sys=True)
+except SystemExit as exc:
+    code = exc.code
+print(before, code, [m for m in watched if m in sys.modules], file=sys.stderr)
+"""
+
+
+def _run_main(*argv):
+    """(stdout, last stderr line) of python -m kleinform argv, through _RUN_MAIN."""
+    proc = subprocess.run([sys.executable, "-c", _RUN_MAIN] + list(argv), capture_output=True,
+                          text=True, timeout=60,
+                          env=dict(os.environ, PYTHONPATH=os.path.dirname(SRC)))
+    return proc.stdout, proc.stderr.splitlines()[-1]
+
+
+def test_plain_command_loads_neither_argparse_nor_csv():
+    dim = ("dim", "--group", "cyclic:3", "--level", "1")
+    assert _run_main(*dim) == ("9\n", "[] 0 []")
+    assert _run_main(*dim, "--format=csv") == ("value\n9\n", "[] 0 ['csv']")
+
+
+def test_help_and_abbreviations_still_go_through_argparse():
+    assert _run_main("dim", "--gro", "cyclic:3", "--level", "1") == ("9\n", "[] 0 ['argparse']")
+    out, report = _run_main("--help")
+    assert report == "[] 0 ['argparse']"
+    assert all(command in out for command in (
+        "verify-alpha", "enumerate", "orbits", "character", "klein", "dehn", "dim",
+        "groupoid-check"))
