@@ -19,7 +19,6 @@ on that table; QZ values are built only when asked for.  Closedness and
 normalization are computed once and kept on the cochain.
 """
 
-from fractions import Fraction
 from itertools import chain
 from math import gcd, lcm
 
@@ -64,7 +63,11 @@ class Cochain:
     @classmethod
     def _from_ints(cls, group, degree, L, ints):
         """The cochain with values ints[i]/L, each int in 0..L-1, over its least L."""
-        g = gcd(L, *set(ints))
+        g = L  # taken slice by slice up to the first 1, with no set or copy of the table
+        for i in range(0, len(ints), 4096):
+            if g == 1:
+                break
+            g = gcd(g, *ints[i:i + 4096])
         self = cls.__new__(cls)
         self._set(group, degree, L // g, tuple([x // g for x in ints] if g > 1 else ints))
         return self
@@ -267,9 +270,11 @@ def alpha_cyclic(n, level):
     n, level = exact_int(n, "cyclic group order"), exact_int(level, "level")
     if n < 1:
         raise KleinformError("alpha_cyclic needs n >= 1")
-    r = range(n)
+    # N*j/n = (N/g)*j/(n/g) with g = gcd(N, n), so the table is built over its least L
+    g = gcd(level, n)
+    m, level, r = n // g, level // g, range(n)
     return Cochain._from_ints(
-        cyclic(n), 3, n, [level * j % n if k + l >= n else 0 for j in r for k in r for l in r]
+        cyclic(n), 3, m, [level * j % m if k + l >= n else 0 for j in r for k in r for l in r]
     )
 
 
@@ -290,6 +295,8 @@ def coboundary_solve(c):
     c must be closed and of degree 2 or 3; the primitive is found by the
     exact Q/Z solver on the integer incidence matrix of the differential.
     """
+    from fractions import Fraction
+
     if c.degree not in (2, 3):
         raise KleinformError("coboundary_solve handles degrees 2 and 3 only")
     if not is_closed(c):

@@ -11,8 +11,6 @@ their denominators; Fractions appear in back-substitution alone, and the
 final check of every row works over one common denominator.
 """
 
-import heapq
-from fractions import Fraction
 from math import lcm
 
 from .errors import KleinformError, ValidationError
@@ -67,6 +65,9 @@ def solve_sparse(rows, ncols, rhs):
     QZ, Fraction or int values, and anything else (a float included) raises
     ValidationError.
     """
+    import heapq
+    from fractions import Fraction
+
     nrows = len(rows)
     if len(rhs) != nrows:
         raise KleinformError(

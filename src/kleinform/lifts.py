@@ -22,7 +22,6 @@ from alpha, and the tests use this module as the reference route.  The
 one cache, of certified staircases, is unbounded; only the tests fill it.
 """
 
-from fractions import Fraction
 from itertools import accumulate, product
 from math import gcd, lcm
 
@@ -78,6 +77,8 @@ class _Staircase:
 
     def gamma0(self, p, q):
         """The untwisted lift F(lam a, lam b) at g = k^p and h = k^q."""
+        from fractions import Fraction
+
         F, L = self.F, self.L
         return lambda a, b: Fraction(F(p * a[0] + q * a[1], p * b[0] + q * b[1]) % L, L)
 
@@ -224,6 +225,8 @@ def _staircase_for(rep, alpha):
 
 def _solve_window(rep, alpha, w):
     """Table lift over [-w, w]^2 by the exact Q/Z solver, keyed by pairs of points."""
+    from fractions import Fraction
+
     pairs = list(product(_window_points(w), repeat=2))
     origin = (0, 0)
     # pairs touching the origin are pinned to zero, not unknowns
@@ -296,6 +299,8 @@ def conjugate_lift(lift, z):
     conjugation holonomy, which moduli.holonomy_cocycle_R reads off alpha
     directly; this route stays as the tests' reference for it.
     """
+    from fractions import Fraction  # here, not in fn, so that fn captures the class
+
     rep = lift.rep
     grp = rep.group
     z = exact_int(z, "conjugating element")

@@ -11,14 +11,16 @@ Built from two ints, it is reduced by one % and one gcd; the arithmetic
 works on these pairs, and a lone int is the zero residue.  Fraction
 appears only where a caller hands one in or asks for one: a Fraction,
 bool or str argument is read through Fraction (a QZ argument is copied,
-and refused with a denominator) and as_fraction() returns one.  The hash
+and refused with a denominator) and as_fraction() returns one.  The
+fractions module is imported in those branches alone, so a process that
+only works with ints and QZ values never loads it (nor decimal and
+numbers, which it pulls in).  The hash
 is Python's documented hash of the rational p/q, p times the inverse of
 q modulo sys.hash_info.modulus (or sys.hash_info.inf when the modulus
 divides q), so a value hashes as the Fraction(p, q) and int it compares
 equal to.
 """
 
-from fractions import Fraction
 from math import gcd
 from sys import hash_info
 
@@ -73,6 +75,7 @@ class QZ:
             return
         if isinstance(numerator, float) or isinstance(denominator, float):
             raise ValidationError("QZ takes exact numbers, not a float")
+        from fractions import Fraction
         if denominator is None:
             frac = Fraction(numerator) % 1
         else:
@@ -89,6 +92,7 @@ class QZ:
 
     def as_fraction(self):
         """The canonical representative in [0, 1) as a Fraction."""
+        from fractions import Fraction
         return Fraction(self._p, self._q)
 
     @classmethod
@@ -100,18 +104,22 @@ class QZ:
         return cls(*parse_residue(text))
 
     def __add__(self, other):
-        if isinstance(other, (QZ, int, Fraction)):
-            d = other.denominator
-            return QZ(self._p * d + other.numerator * self._q, self._q * d)
-        return NotImplemented
+        if not isinstance(other, (QZ, int)):
+            from fractions import Fraction
+            if not isinstance(other, Fraction):
+                return NotImplemented
+        d = other.denominator
+        return QZ(self._p * d + other.numerator * self._q, self._q * d)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        if isinstance(other, (QZ, int, Fraction)):
-            d = other.denominator
-            return QZ(self._p * d - other.numerator * self._q, self._q * d)
-        return NotImplemented
+        if not isinstance(other, (QZ, int)):
+            from fractions import Fraction
+            if not isinstance(other, Fraction):
+                return NotImplemented
+        d = other.denominator
+        return QZ(self._p * d - other.numerator * self._q, self._q * d)
 
     def __neg__(self):
         return QZ(-self._p, self._q)
@@ -138,10 +146,12 @@ class QZ:
     def __eq__(self, other):
         if isinstance(other, QZ):
             return self._p == other._p and self._q == other._q
-        if isinstance(other, (int, Fraction)):
-            other %= 1
-            return self._p == other.numerator and self._q == other.denominator
-        return NotImplemented
+        if not isinstance(other, int):
+            from fractions import Fraction
+            if not isinstance(other, Fraction):
+                return NotImplemented
+        other %= 1
+        return self._p == other.numerator and self._q == other.denominator
 
     def __hash__(self):
         # Python's hash of the rational p/q for p >= 0, as Fraction(p, q) has it

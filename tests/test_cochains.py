@@ -490,6 +490,30 @@ def test_table_bit_budget_bounds_cochain_input():
     assert peak < 4 * 10**6
 
 
+def test_cochains_are_kept_over_their_least_L():
+    # a level that shares a factor with n reduces, and the reduced table
+    # is the one the QZ constructor gives
+    for n, level, least in ((4, 2, 2), (6, 4, 3), (4, 4, 1), (5, 2, 5)):
+        a = alpha_cyclic(n, level)
+        r = range(n)
+        assert a.L == least
+        assert a == Cochain(cyclic(n), 3, [QZ(level * j, n) if k + l >= n else 0
+                                           for j in r for k in r for l in r])
+    assert alpha_cyclic(4, 2).ints == tuple(j % 2 if k + l >= 4 else 0
+                                            for j in range(4) for k in range(4) for l in range(4))
+    zero = differential(alpha_cyclic(4, 1))
+    assert (zero.L, zero) == (1, Cochain.zero(cyclic(4), 4))
+    # a parsed file is over its least L already: the first 4,096 of its
+    # 4,913 entries share the factor 2 with L = 6, and one entry past them
+    # does not
+    cells = [(a, b, c) for a in range(17) for b in range(17) for c in range(17)]
+    text = "group cyclic:17 degree 3\n" + "".join(
+        "%d %d %d %s\n" % (cell + ("1/2" if i == 4900 else "1/3",)) for i, cell in enumerate(cells))
+    c = parse_cochain_text(text)
+    assert c.L == 6 and c.ints == (2,) * 4900 + (3,) + (2,) * 12
+    assert c == Cochain(cyclic(17), 3, [QZ(1, 2) if i == 4900 else QZ(1, 3) for i in range(4913)])
+
+
 def test_round_trip_through_text():
     a = alpha_cyclic(4, 1)
     n = 4

@@ -10,7 +10,12 @@ dicts (the staircase cache in lifts.py is unbounded, and only the tests
 fill it).
 A command in its plain form loads neither argparse nor csv: cli.py reads
 it from its command table, and imports argparse only for help and usage
-errors and csv only to write csv.
+errors and csv only to write csv.  No command loads fractions (nor the
+decimal and numbers modules it pulls in) or heapq: QZ imports Fraction
+only when a caller hands one in or asks for one, and the test-side routes
+(coboundary_solve, solve_sparse, the lifts) import it, and solve_sparse
+heapq, inside the functions that use them.  No module imports fractions,
+heapq, argparse or csv at module level.
 Files are opened in one function only (groups.read_lines, which every
 parser reads through), and only cli.py prints or writes csv.  int() is
 called only by the text parsers; everywhere else a value that should be an
@@ -206,13 +211,61 @@ def test_int_is_called_only_in_text_parsers():
     assert outside == []
 
 
+# Imported only inside the functions that need them.
+_LAZY = {"fractions", "heapq", "argparse", "csv"}
+
+
+def _module_level_imports(source):
+    """Top-level names of the absolute imports that run when the module body runs.
+
+    Function bodies are skipped, since their imports run only when
+    called; class bodies and if, try and with blocks run at import
+    and count.
+    """
+    found = set()
+
+    def visit(node):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            return
+        if isinstance(node, ast.Import):
+            found.update(alias.name.partition(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            found.add(node.module.partition(".")[0])
+        for child in ast.iter_child_nodes(node):
+            visit(child)
+
+    visit(ast.parse(source))
+    return found
+
+
+def test_module_level_import_detector_sees_every_spelling():
+    for source in ("import fractions", "from fractions import Fraction", "import heapq as hq",
+                   "import sys, csv", "import csv.writer", "from argparse import ArgumentParser",
+                   "if True:\n    import heapq\n",
+                   "try:\n    import csv\nexcept ImportError:\n    csv = None\n",
+                   "with open('x') as fh:\n    from fractions import Fraction\n",
+                   "class A:\n    from fractions import Fraction\n"):
+        assert _module_level_imports(source) & _LAZY, source
+    for source in ("def f():\n    from fractions import Fraction\n",
+                   "class A:\n    def m(self):\n        import heapq\n",
+                   "async def g():\n    import csv\n",
+                   "from . import csv", "from .fractions import Fraction", "import csvkit",
+                   "fractions = 'fractions'"):
+        assert not _module_level_imports(source) & _LAZY, source
+
+
+def test_lazy_modules_are_imported_only_inside_functions():
+    eager = [(name, sorted(_module_level_imports(source) & _LAZY)) for name, source in _sources()]
+    assert [entry for entry in eager if entry[1]] == []
+
+
 # Runs `python -m kleinform <argv>` in this process after importing
-# kleinform.cli, then reports on stderr which of argparse and csv were
+# kleinform.cli, then reports on stderr which of the watched modules were
 # loaded after the import and after the command, and the exit code.
 _RUN_MAIN = """
 import runpy, sys
 import kleinform.cli
-watched = ("argparse", "csv")
+watched = ("argparse", "csv", "fractions", "decimal", "numbers", "heapq")
 before = [m for m in watched if m in sys.modules]
 sys.argv[0] = "kleinform"
 try:
@@ -244,3 +297,44 @@ def test_help_and_abbreviations_still_go_through_argparse():
     assert all(command in out for command in (
         "verify-alpha", "enumerate", "orbits", "character", "klein", "dehn", "dim",
         "groupoid-check"))
+
+
+# Each Fraction path of QZ and the solver, first reached in a fresh
+# interpreter where nothing has loaded fractions yet.
+_FRACTION_PATHS = """
+import sys
+from kleinform import QZ, ValidationError
+from kleinform.cochains import Cochain, coboundary_solve, differential
+from kleinform.groups import cyclic
+print("fractions" in sys.modules, repr(QZ("1/3")), "fractions" in sys.modules)
+from fractions import Fraction
+print(repr(QZ(1, 2) + Fraction(1, 3)), repr(Fraction(1, 3) + QZ(1, 2)),
+      repr(QZ(1, 2) - Fraction(5, 6)))
+print(QZ(1, 2) == Fraction(1, 2), QZ(1, 2) == Fraction(3, 2), QZ(1, 2) == Fraction(1, 3),
+      QZ(0) == 4, QZ(1, 2) == "1/2")
+print(repr(QZ(7, 4).as_fraction()), repr(QZ(Fraction(-1, 3))), repr(QZ(True, 3)))
+try:
+    QZ(0.5)
+except ValidationError as exc:
+    print("ValidationError:", exc)
+b = coboundary_solve(Cochain(cyclic(2), 2, [0, 0, 0, QZ(1, 2)]))
+print([str(v) for v in b.values])
+c = Cochain(cyclic(4), 2, [QZ(x * y * y, 4) for x in range(4) for y in range(4)])
+b = coboundary_solve(differential(c))
+print("".join(str(v) + " " for v in b.values), differential(b) == differential(c))
+"""
+
+
+def test_fraction_paths_load_fractions_on_first_use():
+    proc = subprocess.run([sys.executable, "-c", _FRACTION_PATHS], capture_output=True,
+                          text=True, timeout=60,
+                          env=dict(os.environ, PYTHONPATH=os.path.dirname(SRC)))
+    assert proc.stdout.splitlines() == [
+        "False QZ(1, 3) True",
+        "QZ(5, 6) QZ(5, 6) QZ(2, 3)",
+        "True True False True False",
+        "Fraction(3, 4) QZ(2, 3) QZ(1, 3)",
+        "ValidationError: QZ takes exact numbers, not a float",
+        "['0', '1/4']",
+        "0 0 0 0 0 0 1/2 1/2 0 0 0 0 0 0 1/2 1/2  True",
+    ]
