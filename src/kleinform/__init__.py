@@ -6,7 +6,7 @@ from .intmat import xgcd, solve_sparse, SolveResult
 from .groups import (
     FiniteGroup, GroupHom, cyclic, klein4, symmetric3, dihedral, dicyclic,
     alternating4, direct_product, closure, cyclic_generator, generating_set,
-    all_homs, trivial_hom, parse_group_text, load_group_file, parse_group_spec)
+    all_homs, parse_group_text, load_group_file, parse_group_spec)
 from .cochains import (
     Cochain, CochainReport, differential, validate_cochain, alpha_cyclic,
     pullback_cochain, coboundary_solve, parse_cochain_text, load_cochain_file)

@@ -19,7 +19,7 @@ on that table; QZ values are built only when asked for.  Closedness and
 normalization are computed once and kept on the cochain.
 """
 
-from itertools import chain
+from itertools import chain, product
 from math import gcd, lcm
 
 from .errors import KleinformError, ValidationError, exact_int
@@ -84,12 +84,7 @@ class Cochain:
     @classmethod
     def from_function(cls, group, degree, fn):
         degree = exact_int(degree, "cochain degree")
-        n = group.order
-        vals = []
-        for flat in range(n**degree):
-            args = _unflatten(flat, n, degree)
-            vals.append(fn(*args))
-        return cls(group, degree, vals)
+        return cls(group, degree, [fn(*args) for args in product(group.elements, repeat=degree)])
 
     @property
     def values(self):
@@ -137,14 +132,6 @@ def _check_table_bits(nonzero, L):
         raise KleinformError(
             "cochain of %d nonzero values over a %d-bit common denominator exceeds the "
             "budget of %d bits" % (nonzero, L.bit_length(), MAX_TABLE_BITS))
-
-
-def _unflatten(flat, n, degree):
-    args = []
-    for _ in range(degree):
-        args.append(flat % n)
-        flat //= n
-    return tuple(reversed(args))
 
 
 def _diff_rows(c, firsts):
@@ -301,36 +288,24 @@ def coboundary_solve(c):
         raise KleinformError("coboundary_solve handles degrees 2 and 3 only")
     if not is_closed(c):
         raise KleinformError("coboundary_solve needs a closed cochain")
-    n = c.group.order
-    mul = c.group.table
-    k = c.degree
-    rows = []
+    n, k, mul = c.group.order, c.degree, c.group.table
     rhs = [Fraction(x, c.L) for x in c.ints]
+    # the terms of (db)(args) by the module docstring's formula for d, each as
+    # (flat index of the arguments of b, sign)
     if k == 2:
-        for a in range(n):
-            for b in range(n):
-                row = {}
-                for col, coef in ((a, 1), (b, 1), (mul[a][b], -1)):
-                    row[col] = row.get(col, 0) + coef
-                rows.append(row)
-        ncols = n
+        def terms(a, b):
+            return (a, 1), (b, 1), (mul[a][b], -1)
     else:
-        for a in range(n):
-            for b in range(n):
-                ab = mul[a][b]
-                for cc in range(n):
-                    bc = mul[b][cc]
-                    row = {}
-                    for col, coef in (
-                        (a * n + b, 1),
-                        (ab * n + cc, 1),
-                        (a * n + bc, -1),
-                        (b * n + cc, -1),
-                    ):
-                        row[col] = row.get(col, 0) + coef
-                    rows.append(row)
-        ncols = n * n
-    result = solve_sparse(rows, ncols, rhs)
+        def terms(a, b, cc):
+            return ((a * n + b, 1), (mul[a][b] * n + cc, 1), (a * n + mul[b][cc], -1),
+                    (b * n + cc, -1))
+    rows = []
+    for args in product(range(n), repeat=k):
+        row = {}
+        for col, coef in terms(*args):
+            row[col] = row.get(col, 0) + coef
+        rows.append(row)
+    result = solve_sparse(rows, n**(k - 1), rhs)
     if not result.solvable:
         return None
     return Cochain(c.group, k - 1, result.solution)
@@ -369,7 +344,8 @@ def _cochain_from_lines(lines):
         raise KleinformError(
             "cochain table of %d entries exceeds the cap %d" % (n**degree, MAX_ORDER**3)
         )
-    vals, L, nonzero = {}, 1, 0
+    # (p, q) at each listed flat index and None elsewhere, scaled in place to L below
+    ints, L, nonzero = [None] * n**degree, 1, 0
     for ln in lines[1:]:
         parts = ln.split()
         if len(parts) != degree + 1:
@@ -383,19 +359,17 @@ def _cochain_from_lines(lines):
             if not (0 <= a < n):
                 raise KleinformError("index %d outside the group in line %r" % (a, ln))
             idx = idx * n + a
-        if idx in vals:
+        if ints[idx] is not None:
             raise KleinformError("cochain line repeats the arguments of an earlier line: %r" % ln)
         try:
             p, q = parse_residue(parts[-1])
         except ValueError:
             raise KleinformError("bad value in cochain line %r" % ln)
-        vals[idx] = p, q
+        ints[idx] = p, q
         if p:  # L grows entry by entry, and the table is refused before it is scaled
             nonzero += 1
             L = lcm(L, q)
             _check_table_bits(nonzero, L)
-    ints = [0] * n**degree
-    for idx, (p, q) in vals.items():
-        ints[idx] = p * (L // q)
-    vals.clear()  # the pairs are freed before _from_ints reads and copies the table
+    for idx, pq in enumerate(ints):
+        ints[idx] = 0 if pq is None else pq[0] * (L // pq[1])
     return Cochain._from_ints(group, degree, L, ints)

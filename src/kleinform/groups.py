@@ -6,7 +6,7 @@ identity, inverses) so that everything downstream may trust the table
 blindly.  Sizes stay at desk scale; nothing here tries to be clever.
 """
 
-from itertools import permutations
+from itertools import permutations, product
 from operator import itemgetter
 
 from .errors import KleinformError, ValidationError, exact_int, exact_ints
@@ -19,8 +19,8 @@ MAX_ORDER = 48
 # Largest size of a cochain's numerator table in bits: (nonzero values) times
 # the bit length of their common denominator L.  A cochain file or a Cochain
 # over a larger table is refused before any value is scaled to L.  The costliest
-# files under it take about 0.3 s for verify-alpha on cyclic:48 (all 110,592
-# values over one 37-bit L: 57 MB; 17 coprime 4,000-digit denominators: 17 MB).
+# files under it take about 0.4 s for verify-alpha on cyclic:48 (all 110,592
+# values over one 37-bit L: 41 MB; 17 coprime 4,000-digit denominators: 17 MB).
 MAX_TABLE_BITS = 2**22
 
 
@@ -196,6 +196,20 @@ def klein4():
     return direct_product(cyclic(2), cyclic(2))
 
 
+def _metacyclic(m, shift):
+    """The group of order 2m with a^m = 1, b a b^-1 = a^-1 and b^2 = a^shift.
+
+    shift is 0 or m/2, the values for which b^2 commutes with b.  Element
+    a^i b^j sits at index 2*i + j, so index 0 is the identity.
+    """
+    def mul(i1, j1, i2, j2):
+        i = i1 + (-i2 if j1 else i2) + (shift if j1 and j2 else 0)
+        return 2 * (i % m) + (j1 + j2) % 2
+
+    return FiniteGroup([[mul(a // 2, a % 2, b // 2, b % 2) for b in range(2 * m)]
+                        for a in range(2 * m)])
+
+
 def dihedral(n):
     """The dihedral group of order 2n: rotations r^i and reflections r^i s.
 
@@ -205,16 +219,7 @@ def dihedral(n):
     n = exact_int(n, "dihedral group n")
     if n < 1:
         raise KleinformError("dihedral group needs n >= 1")
-
-    def mul(i1, j1, i2, j2):
-        i = (i1 + (i2 if j1 == 0 else -i2)) % n
-        return 2 * i + (j1 + j2) % 2
-
-    table = [
-        [mul(a // 2, a % 2, b // 2, b % 2) for b in range(2 * n)]
-        for a in range(2 * n)
-    ]
-    return FiniteGroup(table)
+    return _metacyclic(n, 0)
 
 
 def dicyclic(n):
@@ -226,19 +231,7 @@ def dicyclic(n):
     n = exact_int(n, "dicyclic group n")
     if n < 1:
         raise KleinformError("dicyclic group needs n >= 1")
-    m = 2 * n
-
-    def mul(i1, j1, i2, j2):
-        i = i1 + (i2 if j1 == 0 else -i2)
-        if j1 and j2:
-            i += n
-        return 2 * (i % m) + (j1 + j2) % 2
-
-    table = [
-        [mul(a // 2, a % 2, b // 2, b % 2) for b in range(2 * m)]
-        for a in range(2 * m)
-    ]
-    return FiniteGroup(table)
+    return _metacyclic(2 * n, n)
 
 
 def alternating4():
@@ -249,16 +242,18 @@ def alternating4():
 
 def closure(group, gens):
     """Subgroup generated by gens, returned as a sorted tuple of indices."""
+    # right multiplication by g alone suffices: g has some finite order k, so
+    # x g^-1 = x g^(k-1) is reached by k - 1 steps of it
     seen = {0}
     frontier = [0]
     gens = list(gens)
     while frontier:
-        x = frontier.pop()
+        row = group.table[frontier.pop()]
         for g in gens:
-            for y in (group.mul(x, g), group.mul(x, group.inv(g))):
-                if y not in seen:
-                    seen.add(y)
-                    frontier.append(y)
+            y = row[g]
+            if y not in seen:
+                seen.add(y)
+                frontier.append(y)
     return tuple(sorted(seen))
 
 
@@ -326,53 +321,39 @@ class GroupHom:
         return "GroupHom(images=%r)" % (self.images,)
 
 
-def trivial_hom(source, target):
-    return GroupHom(source, target, [0] * source.order)
-
-
 def all_homs(source, target):
     """Every homomorphism source -> target, by brute force on generator images.
 
-    Fine for the desk-scale orders this package works at.
+    A homomorphism is fixed by its images of generating_set(source), so each
+    tuple of images, taken from the elements whose order divides that of the
+    generator, is filled in over a spanning tree of right multiplications by
+    the generators and kept when GroupHom accepts it.  No map comes twice,
+    since distinct tuples differ on a generator, and the list is in
+    lexicographic order of the generator images.  A trivial source has no
+    generators and one empty tuple, whose map sends 0 to 0.  Fine for the
+    desk-scale orders this package works at.
     """
     gens = generating_set(source)
-    if not gens:
-        return [trivial_hom(source, target)]
+    # breadth first: reached grows while the loop reads it, and tree holds
+    # (y, x, k) with y = x * gens[k] for each y but 0, x reached before y
+    tree, reached = [], [0]
+    for x in reached:
+        for k, g in enumerate(gens):
+            y = source.table[x][g]
+            if y not in reached:
+                reached.append(y)
+                tree.append((y, x, k))
+    candidates = [[h for h in target.elements if source.order_of(g) % target.order_of(h) == 0]
+                  for g in gens]
     out = []
-    seen = set()
-
-    def extend(assignment):
-        # grow the partial map from the generators over the whole group
-        images = {0: 0}
-        frontier = [0]
-        while frontier:
-            x = frontier.pop()
-            for g, hg in zip(gens, assignment):
-                y = source.mul(x, g)
-                hy = target.mul(images[x], hg)
-                if y in images:
-                    if images[y] != hy:
-                        return None
-                else:
-                    images[y] = hy
-                    frontier.append(y)
-        if len(images) != source.order:
-            return None
-        return tuple(images[x] for x in source.elements)
-
-    def rec(i, assignment):
-        if i == len(gens):
-            images = extend(assignment)
-            if images is not None and images not in seen:
-                seen.add(images)
-                out.append(GroupHom(source, target, images))
-            return
-        d = source.order_of(gens[i])
-        for h in target.elements:
-            if d % target.order_of(h) == 0:
-                rec(i + 1, assignment + (h,))
-
-    rec(0, ())
+    for assignment in product(*candidates):
+        images = [0] * source.order
+        for y, x, k in tree:
+            images[y] = target.table[images[x]][assignment[k]]
+        try:
+            out.append(GroupHom(source, target, images))
+        except ValidationError:
+            pass
     return out
 
 

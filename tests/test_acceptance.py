@@ -18,7 +18,6 @@ from kleinform.cochains import (
     Cochain,
     alpha_cyclic,
     coboundary_solve,
-    _unflatten,
     differential,
     is_closed,
     is_normalized,
@@ -238,7 +237,8 @@ def test_integer_cochains_match_qz_reference():
     triple-route sections_dimension equals the orbit-by-orbit count."""
     for grp in _small_groups():
         n = grp.order
-        with_identity = [flat for flat in range(n**3) if 0 in _unflatten(flat, n, 3)]
+        with_identity = [flat for flat, args in enumerate(product(range(n), repeat=3))
+                         if 0 in args]
         exponent = 1
         for g in grp.elements:
             exponent = lcm(exponent, grp.order_of(g))

@@ -421,14 +421,16 @@ def test_order_line_needs_the_word_order(tmp_path, capsys):
 
 
 def test_cochain_file_rejects_repeated_arguments(tmp_path, capsys):
-    # the second line for (1, 1, 1) used to overwrite the first
+    # the second line for (1, 1, 1) used to overwrite the first; a first line
+    # that lists the value 0 counts as listed
     path = tmp_path / "twice.cochain"
-    path.write_text("group cyclic:2 degree 3\n1 1 1 1/2\n1 1 1 0\n")
-    rc, out, err = run(capsys, ["verify-alpha", "--group", "cyclic:2",
-                                "--level", "file:%s" % path])
-    assert (rc, out) == (1, "")
-    assert err == ("error: cochain line repeats the arguments of an earlier line: "
-                   "'1 1 1 0'\n")
+    for first, repeat in (("1/2", "0"), ("0", "1/2")):
+        path.write_text("group cyclic:2 degree 3\n1 1 1 %s\n1 1 1 %s\n" % (first, repeat))
+        rc, out, err = run(capsys, ["verify-alpha", "--group", "cyclic:2",
+                                    "--level", "file:%s" % path])
+        assert (rc, out) == (1, "")
+        assert err == ("error: cochain line repeats the arguments of an earlier line: "
+                       "'1 1 1 %s'\n" % repeat)
 
 
 def test_groupoid_file_rejects_repeated_comp_and_val(tmp_path, capsys):

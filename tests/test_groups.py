@@ -1,5 +1,6 @@
 import math
 import random
+from itertools import product
 
 import pytest
 
@@ -21,7 +22,6 @@ from kleinform.groups import (
     parse_group_spec,
     parse_group_text,
     symmetric3,
-    trivial_hom,
 )
 
 
@@ -113,7 +113,22 @@ def test_klein4_and_products():
     assert g.order_of(4) == 6
 
 
+def _check_metacyclic(grp, m, shift):
+    """grp has order 2m, index 2i + j is a^i b^j with a = 2 (the identity when
+    m = 1) and b = 1, and a^m = 1, b^2 = a^shift, b a b^-1 = a^-1."""
+    a, b = 2 % (2 * m), 1
+    assert grp.order == 2 * m
+    for i in range(m):
+        for j in range(2):
+            assert grp.mul(grp.power(a, i), grp.power(b, j)) == 2 * i + j
+    assert grp.power(a, m) == 0
+    assert grp.mul(b, b) == grp.power(a, shift)
+    assert grp.conj(b, a) == grp.inv(a)
+
+
 def test_dihedral():
+    for n in range(1, 25):
+        _check_metacyclic(dihedral(n), n, 0)
     d3 = dihedral(3)
     assert d3.order == 6
     # r at index 2, s at index 1, s r = r^-1 s
@@ -127,6 +142,8 @@ def test_dihedral():
 
 
 def test_dicyclic_is_quaternion_at_two():
+    for n in range(1, 13):
+        _check_metacyclic(dicyclic(n), 2 * n, n)
     q8 = dicyclic(2)
     assert q8.order == 8
     orders = sorted(q8.order_of(x) for x in q8.elements)
@@ -173,8 +190,6 @@ def test_hom_validation():
         GroupHom(z4, z2, [0, 1])
     with pytest.raises(ValidationError):
         GroupHom(z4, z2, [0, 5, 0, 5])
-    t = trivial_hom(z4, z2)
-    assert t.images == (0, 0, 0, 0)
 
 
 def test_hom_refuses_float_images():
@@ -197,6 +212,27 @@ def test_hom_counts_other():
     assert len(all_homs(symmetric3(), cyclic(3))) == 1
     assert len(all_homs(symmetric3(), symmetric3())) == 10
     assert len(all_homs(cyclic(1), symmetric3())) == 1
+
+
+def _brute_force_homs(source, target):
+    """The image lists of every map source -> target that keeps the law on
+    the raw tables, in lexicographic order."""
+    n = source.order
+    return [images for images in product(range(target.order), repeat=n)
+            if all(images[source.table[a][b]] == target.table[images[a]][images[b]]
+                   for a in range(n) for b in range(n))]
+
+
+def test_all_homs_match_brute_force():
+    small = [cyclic(n) for n in range(1, 7)] + [klein4(), symmetric3()]
+    pairs = [(s, t) for s in small if s.order <= 4 for t in small]
+    pairs += [(symmetric3(), cyclic(2)), (symmetric3(), cyclic(3))]
+    for source, target in pairs:
+        homs = all_homs(source, target)
+        assert sorted(h.images for h in homs) == _brute_force_homs(source, target)
+        gens = generating_set(source)
+        keys = [tuple(h(g) for g in gens) for h in homs]
+        assert all(x < y for x, y in zip(keys, keys[1:]))
 
 
 def test_hom_sign_of_s3():
