@@ -46,19 +46,20 @@ class Cochain:
     def __init__(self, group, degree, values):
         if not isinstance(group, FiniteGroup):
             raise ValidationError("cochain needs a FiniteGroup")
-        degree = exact_int(degree, "cochain degree")
-        if not (0 <= degree <= MAX_DEGREE):
-            raise ValidationError("cochain degree must lie in 0..%d" % MAX_DEGREE)
-        values = tuple(v if isinstance(v, QZ) else QZ(v) for v in values)
-        if len(values) != group.order**degree:
+        degree = _check_degree(degree)
+        qz, L, nonzero = [], 1, 0
+        for v in values:
+            v = v if isinstance(v, QZ) else QZ(v)
+            if v:  # L grows value by value, and the table is refused once it is over budget
+                nonzero += 1
+                L = lcm(L, v.denominator)
+                _check_table_bits(nonzero, L)
+            qz.append(v)
+        if len(qz) != group.order**degree:
             raise ValidationError(
-                "value table has length %d, expected %d"
-                % (len(values), group.order**degree)
-            )
-        L = lcm(*{v.denominator for v in values})
-        _check_table_bits(sum(map(bool, values)), L)
-        self._set(group, degree, L, tuple(v.numerator * (L // v.denominator) for v in values))
-        self._values = values
+                "value table has length %d, expected %d" % (len(qz), group.order**degree))
+        self._set(group, degree, L, tuple(v.numerator * (L // v.denominator) for v in qz))
+        self._values = tuple(qz)
 
     @classmethod
     def _from_ints(cls, group, degree, L, ints):
@@ -78,12 +79,12 @@ class Cochain:
 
     @classmethod
     def zero(cls, group, degree):
-        degree = exact_int(degree, "cochain degree")
+        degree = _check_degree(degree)
         return cls._from_ints(group, degree, 1, (0,) * group.order**degree)
 
     @classmethod
     def from_function(cls, group, degree, fn):
-        degree = exact_int(degree, "cochain degree")
+        degree = _check_degree(degree)
         return cls(group, degree, [fn(*args) for args in product(group.elements, repeat=degree)])
 
     @property
@@ -124,6 +125,14 @@ class Cochain:
 
     def __repr__(self):
         return "Cochain(degree=%d, group order %d)" % (self.degree, self.group.order)
+
+
+def _check_degree(degree):
+    """degree as an int in 0..MAX_DEGREE, or ValidationError."""
+    degree = exact_int(degree, "cochain degree")
+    if not (0 <= degree <= MAX_DEGREE):
+        raise ValidationError("cochain degree must lie in 0..%d" % MAX_DEGREE)
+    return degree
 
 
 def _check_table_bits(nonzero, L):
@@ -282,14 +291,12 @@ def coboundary_solve(c):
     c must be closed and of degree 2 or 3; the primitive is found by the
     exact Q/Z solver on the integer incidence matrix of the differential.
     """
-    from fractions import Fraction
-
     if c.degree not in (2, 3):
         raise KleinformError("coboundary_solve handles degrees 2 and 3 only")
     if not is_closed(c):
         raise KleinformError("coboundary_solve needs a closed cochain")
     n, k, mul = c.group.order, c.degree, c.group.table
-    rhs = [Fraction(x, c.L) for x in c.ints]
+    rhs = [QZ(x, c.L) for x in c.ints]
     # the terms of (db)(args) by the module docstring's formula for d, each as
     # (flat index of the arguments of b, sign)
     if k == 2:
@@ -333,11 +340,9 @@ def _cochain_from_lines(lines):
         raise KleinformError("cochain file must start with 'group <spec> degree k'")
     spec = " ".join(head[1:-2])
     try:
-        degree = int(head[-1])
+        degree = _check_degree(int(head[-1]))
     except ValueError:
         raise KleinformError("bad degree in cochain header")
-    if not (0 <= degree <= MAX_DEGREE):
-        raise KleinformError("cochain degree must lie in 0..%d" % MAX_DEGREE)
     group = parse_group_spec(spec)
     n = group.order
     if n**degree > MAX_ORDER**3:

@@ -7,8 +7,9 @@ row that elimination empties while its right-hand side stays nonzero.
 That emptied row, a row of the reduced form of M, is returned as the
 certificate.  Elimination runs in integers only: one Euclid kernel reduces
 each pivot column, and the right-hand sides are residues mod the lcm of
-their denominators; Fractions appear in back-substitution alone, and the
-final check of every row works over one common denominator.
+their denominators.  Back-substitution computes in QZ, and the final
+check of every row works over one common denominator.  Fraction is only
+an accepted type of right-hand side.
 """
 
 from math import lcm
@@ -66,7 +67,6 @@ def solve_sparse(rows, ncols, rhs):
     ValidationError.
     """
     import heapq
-    from fractions import Fraction
 
     nrows = len(rows)
     if len(rhs) != nrows:
@@ -82,11 +82,13 @@ def solve_sparse(rows, ncols, rhs):
                 raise KleinformError("column index %r out of range" % (c,))
         work.append({c: v for c, v in r.items() if v})
     for v in rhs:
-        if not isinstance(v, (int, Fraction, QZ)):
-            raise ValidationError("right-hand sides must be int, Fraction or QZ, got %r" % (v,))
+        if not isinstance(v, (int, QZ)):
+            from fractions import Fraction
+            if not isinstance(v, Fraction):
+                raise ValidationError(
+                    "right-hand sides must be int, Fraction or QZ, got %r" % (v,))
     L = lcm(*(v.denominator for v in rhs))
     b = [v.numerator * (L // v.denominator) % L for v in rhs]
-    b0 = b[:]  # elimination rewrites b in place
 
     for i in range(nrows):
         if not work[i] and b[i]:
@@ -130,26 +132,23 @@ def solve_sparse(rows, ncols, rhs):
         for col in work[p]:
             owners[col].discard(p)
 
-    x = [Fraction(0)] * ncols
+    solution = [QZ(0)] * ncols
     for p, c in reversed(retired):
         row = work[p]
-        s = row[c]
-        acc = (Fraction(b[p], L) - sum(v * x[col] for col, v in row.items() if col != c)) % 1
-        # principal branch of division by s in Q/Z
-        val = Fraction(acc.numerator, acc.denominator * abs(s))
-        x[c] = (val if s > 0 else -val) % 1
+        acc = QZ(b[p], L) - sum(v * solution[col] for col, v in row.items() if col != c)
+        # principal branch of division by row[c] in Q/Z; QZ moves its sign to the numerator
+        solution[c] = QZ(acc.numerator, acc.denominator * row[c])
 
-    solution = [QZ(v) for v in x]
-    _verify_sparse(rows, solution, b0, L)
+    _verify_sparse(rows, solution, rhs, L)
     return SolveResult(solution=solution)
 
 
-def _verify_sparse(rows, solution, b, L):
-    # every row checked again in integers over one common denominator D,
-    # against the right-hand sides b over L
+def _verify_sparse(rows, solution, rhs, L):
+    # every row checked again, against the right-hand sides as given, in
+    # integers over one common denominator D
     D = lcm(L, *(v.denominator for v in solution))
     xs = [v.numerator * (D // v.denominator) for v in solution]
-    for i, row in enumerate(rows):
+    for i, (row, b) in enumerate(zip(rows, rhs)):
         lhs = sum(v * xs[c] for c, v in row.items())
-        if (lhs - b[i] * (D // L)) % D:
+        if (lhs - b.numerator * (D // b.denominator)) % D:
             raise KleinformError("internal error: solver produced a non-solution at row %d" % i)

@@ -16,7 +16,7 @@ Closed lifts rest on their staircase's one certificate, which covers all
 of Z^2 (see _Staircase); window lifts and conjugates re-verify their
 defining equation on all window triples.  A failure is a CertificateError
 and means a bug, never bad input.  Alpha is read only from its integer
-table (alpha.L and alpha.ints), and lift values are Fractions in [0, 1).
+table (alpha.L and alpha.ints), and lift values are QZ residues.
 No other module computes with these lifts: moduli reads every character
 from alpha, and the tests use this module as the reference route.  The
 one cache, of certified staircases, is unbounded; only the tests fill it.
@@ -77,10 +77,8 @@ class _Staircase:
 
     def gamma0(self, p, q):
         """The untwisted lift F(lam a, lam b) at g = k^p and h = k^q."""
-        from fractions import Fraction
-
         F, L = self.F, self.L
-        return lambda a, b: Fraction(F(p * a[0] + q * a[1], p * b[0] + q * b[1]) % L, L)
+        return lambda a, b: QZ(F(p * a[0] + q * a[1], p * b[0] + q * b[1]), L)
 
 
 _STAIR_CACHE = {}  # (nk, L, restricted alpha) -> certified _Staircase
@@ -92,7 +90,7 @@ def _twisted(base, lam0):
         return base
 
     def fn(a, b):
-        return (base(a, b) + lam0 * (a[0] * b[1] - a[1] * b[0])) % 1
+        return base(a, b) + lam0 * (a[0] * b[1] - a[1] * b[0])
 
     return fn
 
@@ -130,7 +128,7 @@ class GammaLift:
                     raise WindowError(
                         "point %r is outside the solved window %d" % (pt, w)
                     )
-        return QZ(self._fn(a, b))
+        return self._fn(a, b)
 
     def __repr__(self):
         return "GammaLift(mode=%s, window=%d)" % (self.mode, self.window)
@@ -225,8 +223,6 @@ def _staircase_for(rep, alpha):
 
 def _solve_window(rep, alpha, w):
     """Table lift over [-w, w]^2 by the exact Q/Z solver, keyed by pairs of points."""
-    from fractions import Fraction
-
     pairs = list(product(_window_points(w), repeat=2))
     origin = (0, 0)
     # pairs touching the origin are pinned to zero, not unknowns
@@ -239,7 +235,7 @@ def _solve_window(rep, alpha, w):
             if i in cols:
                 row[cols[i]] = row.get(cols[i], 0) + coef
         rows.append(row)
-        rhs.append(Fraction(alpha.ints[flat], alpha.L))
+        rhs.append(QZ(alpha.ints[flat], alpha.L))
     result = solve_sparse(rows, len(cols), rhs)
     if not result.solvable:
         raise WindowError(
@@ -247,9 +243,9 @@ def _solve_window(rep, alpha, w):
             "the system is solvable for every closed alpha, so this is a bug"
             % (result.row, result.residual)
         )
-    table = dict.fromkeys(pairs, Fraction(0))
+    table = dict.fromkeys(pairs, QZ(0))
     for i, col in cols.items():
-        table[pairs[i]] = result.solution[col].as_fraction()
+        table[pairs[i]] = result.solution[col]
     return table
 
 
@@ -274,8 +270,8 @@ def lift_gamma(rep, alpha, window=None):
     else:
         stair, p, q = found
         base = stair.gamma0(p, q)
-    fn = _twisted(base, QZ(base(E2, E1) - base(E1, E2)).halve().as_fraction())
-    if (fn(E1, E2) - fn(E2, E1)) % 1:
+    fn = _twisted(base, (base(E2, E1) - base(E1, E2)).halve())
+    if fn(E1, E2) != fn(E2, E1):
         raise CertificateError("lift is not symmetric at (e1, e2)")
     if found is None:
         return GammaLift(rep, alpha, w, "window", fn)
@@ -299,8 +295,6 @@ def conjugate_lift(lift, z):
     conjugation holonomy, which moduli.holonomy_cocycle_R reads off alpha
     directly; this route stays as the tests' reference for it.
     """
-    from fractions import Fraction  # here, not in fn, so that fn captures the class
-
     rep = lift.rep
     grp = rep.group
     z = exact_int(z, "conjugating element")
@@ -317,6 +311,6 @@ def conjugate_lift(lift, z):
         cu = grp.conj(z, u)
         cv = grp.conj(z, v)
         corr = tab[(z * n + u) * n + v] + tab[(cu * n + cv) * n + z] - tab[(cu * n + z) * n + v]
-        return (base(a, b) + Fraction(corr, L)) % 1
+        return base(a, b) + QZ(corr, L)
 
     return GammaLift(rep2, lift.alpha, lift.window, lift.mode, fn)

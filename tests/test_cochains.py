@@ -490,6 +490,36 @@ def test_table_bit_budget_bounds_cochain_input():
     assert peak < 4 * 10**6
 
 
+def test_cochain_values_meet_the_bit_budget_one_by_one():
+    # the budget is checked as each nonzero value is read, so a table whose
+    # first 700 values have distinct prime denominators is refused before
+    # the float after them is reached
+    primes = [p for p in range(2, 6000) if all(p % d for d in range(2, int(p**0.5) + 1))]
+    values = [QZ(1, p) for p in primes[:700]] + [0.5] + [QZ(0)] * 28
+    assert len(values) == 9**3
+    with pytest.raises(KleinformError, match="exceeds the budget"):
+        Cochain(cyclic(9), 3, values)
+
+
+@pytest.mark.parametrize("degree, message", [
+    (-1, "cochain degree must lie in 0..4"),
+    (5, "cochain degree must lie in 0..4"),
+    (1.5, "cochain degree must be an integer, not 1.5"),
+])
+def test_every_constructor_checks_the_degree_first(degree, message):
+    # no value is read, and fn is never called, for a degree outside 0..4
+    z2, calls = cyclic(2), []
+    builds = (
+        lambda: Cochain(z2, degree, (calls.append(i) or QZ(0) for i in range(2))),
+        lambda: Cochain.zero(z2, degree),
+        lambda: Cochain.from_function(z2, degree, lambda *args: calls.append(args) or QZ(0)),
+    )
+    for build in builds:
+        with pytest.raises(ValidationError, match=message):
+            build()
+    assert calls == []
+
+
 def test_cochains_are_kept_over_their_least_L():
     # a level that shares a factor with n reduces, and the reduced table
     # is the one the QZ constructor gives

@@ -11,11 +11,14 @@ fill it).
 A command in its plain form loads neither argparse nor csv: cli.py reads
 it from its command table, and imports argparse only for help and usage
 errors and csv only to write csv.  No command loads fractions (nor the
-decimal and numbers modules it pulls in) or heapq: QZ imports Fraction
-only when a caller hands one in or asks for one, and the test-side routes
-(coboundary_solve, solve_sparse, the lifts) import it, and solve_sparse
-heapq, inside the functions that use them.  No module imports fractions,
-heapq, argparse or csv at module level.
+decimal and numbers modules it pulls in) or heapq.  Only qz.py and
+intmat.py import fractions: QZ only when a caller hands it a Fraction
+(or a bool or str) or asks for one, and solve_sparse only to check a
+right-hand side that is neither int nor QZ.  The lifts, solve_sparse and
+coboundary_solve compute in QZ, so the tests' reference routes load
+fractions only when given a Fraction.  solve_sparse imports heapq inside
+the function.  No module imports fractions, heapq, argparse or csv at
+module level.
 Files are opened in one function only (groups.read_lines, which every
 parser reads through), and only cli.py prints or writes csv.  int() is
 called only by the text parsers; everywhere else a value that should be an
@@ -297,6 +300,50 @@ def test_help_and_abbreviations_still_go_through_argparse():
     assert all(command in out for command in (
         "verify-alpha", "enumerate", "orbits", "character", "klein", "dehn", "dim",
         "groupoid-check"))
+
+
+def test_only_qz_and_intmat_import_fractions():
+    importers = [name for name, source in _sources() if "fractions" in _imported(source)]
+    assert importers == ["intmat.py", "qz.py"]
+
+
+# The lift oracle, the solver and coboundary_solve on QZ inputs, in a fresh
+# interpreter: a few values, the types of all values, and whether fractions
+# was loaded.
+_QZ_ROUTES = """
+import sys
+from kleinform import QZ
+from kleinform.cochains import Cochain, alpha_cyclic, coboundary_solve, differential
+from kleinform.groups import cyclic, klein4
+from kleinform.intmat import solve_sparse
+from kleinform.lifts import TorusRep, conjugate_lift, lift_gamma
+closed = lift_gamma(TorusRep(cyclic(3), 1, 0), alpha_cyclic(3, 1))
+window = lift_gamma(TorusRep(klein4(), 1, 2), Cochain.zero(klein4(), 3), window=1)
+pts = [(x, y) for x in (-1, 0, 1) for y in (-1, 0, 1)]
+types = set()
+for lift in (closed, window, conjugate_lift(closed, 2), conjugate_lift(window, 1)):
+    print(lift.mode, lift.evaluate((1, 0), (0, 1)), lift.evaluate((1, 1), (-1, 1)))
+    types.update(type(lift._fn(a, b)).__name__ for a in pts for b in pts)
+c = Cochain(cyclic(4), 2, [QZ(x * y * y, 4) for x in range(4) for y in range(4)])
+print(" ".join(map(str, coboundary_solve(differential(c)).values)))
+result = solve_sparse([{0: 2, 1: 1}, {1: 3}], 2, [QZ(1, 3), QZ(1, 2)])
+types.update(type(v).__name__ for v in result.solution)
+print(result, sorted(types), "fractions" in sys.modules)
+"""
+
+
+def test_qz_routes_never_load_fractions():
+    proc = subprocess.run([sys.executable, "-c", _QZ_ROUTES], capture_output=True,
+                          text=True, timeout=60,
+                          env=dict(os.environ, PYTHONPATH=os.path.dirname(SRC)))
+    assert proc.stdout.splitlines() == [
+        "closed 0 0",
+        "window 0 0",
+        "closed 0 2/3",
+        "window 0 0",
+        "0 0 0 0 0 0 1/2 1/2 0 0 0 0 0 0 1/2 1/2",
+        "SolveResult(solution=[QZ(1, 12), QZ(1, 6)]) ['QZ'] False",
+    ]
 
 
 # Each Fraction path of QZ and the solver, first reached in a fresh
