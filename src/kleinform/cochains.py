@@ -23,12 +23,18 @@ from itertools import chain, product
 from math import gcd, lcm
 
 from .errors import KleinformError, ValidationError, exact_int
-from .groups import (MAX_ORDER, MAX_TABLE_BITS, FiniteGroup, cyclic, generating_set,
-                     parse_group_spec, read_lines)
+from .groups import MAX_ORDER, FiniteGroup, cyclic, generating_set, parse_group_spec, read_lines
 from .intmat import solve_sparse
 from .qz import QZ, parse_residue
 
 MAX_DEGREE = 4
+
+# Largest size of a cochain's numerator table in bits: (nonzero values) times
+# the bit length of their common denominator L.  A cochain file or a Cochain
+# over a larger table is refused before any value is scaled to L.  The costliest
+# files under it take about 0.4 s for verify-alpha on cyclic:48 (all 110,592
+# values over one 37-bit L: 41 MB; 17 coprime 4,000-digit denominators: 17 MB).
+MAX_TABLE_BITS = 2**22
 
 
 class Cochain:
@@ -46,7 +52,7 @@ class Cochain:
     def __init__(self, group, degree, values):
         if not isinstance(group, FiniteGroup):
             raise ValidationError("cochain needs a FiniteGroup")
-        degree = _check_degree(degree)
+        degree = _check_shape(group, _check_degree(degree))
         qz, L, nonzero = [], 1, 0
         for v in values:
             v = v if isinstance(v, QZ) else QZ(v)
@@ -79,12 +85,12 @@ class Cochain:
 
     @classmethod
     def zero(cls, group, degree):
-        degree = _check_degree(degree)
+        degree = _check_shape(group, _check_degree(degree))
         return cls._from_ints(group, degree, 1, (0,) * group.order**degree)
 
     @classmethod
     def from_function(cls, group, degree, fn):
-        degree = _check_degree(degree)
+        degree = _check_shape(group, _check_degree(degree))
         return cls(group, degree, [fn(*args) for args in product(group.elements, repeat=degree)])
 
     @property
@@ -132,6 +138,17 @@ def _check_degree(degree):
     degree = exact_int(degree, "cochain degree")
     if not (0 <= degree <= MAX_DEGREE):
         raise ValidationError("cochain degree must lie in 0..%d" % MAX_DEGREE)
+    return degree
+
+
+def _check_shape(group, degree):
+    """degree, for a table of at most the parser's MAX_ORDER**3 entries.
+
+    Every constructor but _from_ints checks it before it reads a value or calls fn.
+    """
+    if group.order**degree > MAX_ORDER**3:
+        raise KleinformError("cochain table of %d entries exceeds the cap %d"
+                             % (group.order**degree, MAX_ORDER**3))
     return degree
 
 
@@ -344,11 +361,8 @@ def _cochain_from_lines(lines):
     except ValueError:
         raise KleinformError("bad degree in cochain header")
     group = parse_group_spec(spec)
+    _check_shape(group, degree)
     n = group.order
-    if n**degree > MAX_ORDER**3:
-        raise KleinformError(
-            "cochain table of %d entries exceeds the cap %d" % (n**degree, MAX_ORDER**3)
-        )
     # (p, q) at each listed flat index and None elsewhere, scaled in place to L below
     ints, L, nonzero = [None] * n**degree, 1, 0
     for ln in lines[1:]:

@@ -107,11 +107,9 @@ class GammaLift:
     __slots__ = ("rep", "alpha", "window", "mode", "_fn")
 
     def __init__(self, rep, alpha, window, mode, fn, _certified=False):
-        if window < 1:
-            raise KleinformError("lift window must be at least 1")
         self.rep = rep
         self.alpha = alpha
-        self.window = window
+        self.window = _check_window(window)
         self.mode = mode
         self._fn = fn
         if not _certified:
@@ -132,6 +130,14 @@ class GammaLift:
 
     def __repr__(self):
         return "GammaLift(mode=%s, window=%d)" % (self.mode, self.window)
+
+
+def _check_window(window):
+    """window as an int of at least 1: the one check of every lift's window."""
+    window = exact_int(window, "lift window")
+    if window < 1:
+        raise KleinformError("lift window must be at least 1")
+    return window
 
 
 def _window_points(w):
@@ -262,9 +268,7 @@ def lift_gamma(rep, alpha, window=None):
     _check_alpha_for(rep.group, alpha)
     found = _staircase_for(rep, alpha) if window is None else None
     if found is None:
-        w = DEFAULT_WINDOW if window is None else exact_int(window, "lift window")
-        if w < 1:
-            raise KleinformError("window must be at least 1")
+        w = DEFAULT_WINDOW if window is None else _check_window(window)
         table = _solve_window(rep, alpha, w)
         base = lambda a, b: table[(a, b)]
     else:

@@ -8,7 +8,8 @@ plane.  r_diff (the character against a matrix, whose T^ord block is
 dehn_character) and the conjugation holonomy are defined through a
 normalized lift of the pulled-back three-cocycle, but the lift cancels
 out of each: they are read from alpha's integer table over its common
-denominator, a few lookups per S or T letter or per conjugating element.
+denominator: three lookups per S step and at most ord(g) per T^q block
+of the matrix's Euclid word, six per conjugating element.
 sections_dimension reads the holonomy only at stabilizer elements, where
 it is alternating in the commuting triple (g, h, z): six lookups once per
 triple g < h < z of distinct non-identity elements mark the non-flat
@@ -257,30 +258,28 @@ def r_diff(rep, alpha, matrix):
     r_diff is the 1-cocycle of the SL2(Z) action on commuting pairs
     (Freed-Quinn, CMP 156, 1993): r(rep, A B) = r(rep, A) + r(rep.A, B),
     with (g, h).S = (h, g^-1) and (g, h).T^q = (g, g^q h).  So Euclid's
-    algorithm on the first column peels S (while |a| < |c|) or T^q off M
-    until c = 0, where M = T^b or M = -T^b = (-I) T^b.  With -I = S^2
-    the law on S S gives -I in one step, from (g, h) to
-    (h, g^-1).S = (g^-1, h^-1):
+    algorithm on the first column peels S or T^q off M until M = T^b and
+    sums the letters: S while |a| < |c|, and twice at M = -T^b = S S T^b
+    (c = 0, a = -1).  The law gives the same value for every factorization
+    of M, so any q with |a - q c| < |c| will do; q = floor((2a + c) / 2c),
+    the integer nearest a / c (halves round up), leaves |a| <= |c| / 2,
+    and the S step after it makes that the new |c|.  So |c| halves from
+    one T block to the next: with B the bit length of max(|a|, |c|), at
+    most B blocks with c != 0, each followed by an S, one S before them,
+    two at -T^b and the last block make 2B + 4 steps.  a^2 + c^2 has at
+    least 2B - 1 bits, so the loop is bounded at its bit length plus 5 and
+    raises past it.
 
-        -I: alpha(g, h, g^-1) - alpha(g, g^-1, h) - alpha(h, g, g^-1)
-            + alpha(h, g^-1, h^-1) - alpha(h, h^-1, g^-1)
-            - alpha(g^-1, h, h^-1),
-
-    the S letter at (g, h) plus the S letter at (h, g^-1).  The law gives
-    the same value for every factorization of M, so any q with
-    |a - q c| < |c| will do; q = floor((2a + c) / 2c), the integer nearest
-    a / c (halves round up), leaves at most |c| / 2 for the next step and
-    so fewer steps than the floor a // c.
-
-    T^q sums the letters alpha(g, x, g) for x = g^j h, j >= 0 (from
-    x = g^q h, negated, when q < 0).  rep.T^k = rep for k = ord(g), so
-    the letters repeat with period k, and a block walks the row table[g]:
-    |q| % k letters from x, then, when |q| >= k, on through the rest of
-    the cycle, which it adds |q| // k times.  g^q h = g^(q % k) h is a
-    walk along the same row, so a block takes at most 2k table steps
-    whatever the size of q.  The loop reads the group's flat table,
-    inverses and orders, and sums in integers over alpha's common
-    denominator.
+    T^q sums the letters alpha(g, g^j h, g) over 0 <= j < q, or minus
+    those over q <= j < 0; call that P(q).  rep.T^k = rep for k = ord(g),
+    so with C = P(k), P(q) = (q // k) C + P(q % k) for every integer q:
+    both sides grow by C when q goes to q + k, and they agree on
+    0 <= q < k.  So a block walks the row table[g] through s = q % k
+    letters from h to g^s h = g^q h, the new h, and through the other
+    k - s letters, for C, only when q // k != 0: at most ord(g) table
+    steps whatever the size or sign of q.  The loop reads the group's
+    flat table, inverses and orders, and sums in integers over alpha's
+    common denominator.
     """
     _check_alpha_for(rep.group, alpha)
     grp = rep.group
@@ -289,45 +288,32 @@ def r_diff(rep, alpha, matrix):
     g, h = rep.g, rep.h
     a, b, c, d = matrix.a, matrix.b, matrix.c, matrix.d
     acc = 0
-    while True:
-        # S while |a| < |c|
-        if -c < a < c if c > 0 else c < a < -c:
+    for _ in range((a * a + c * c).bit_length() + 5):
+        # S while |a| < |c|, and twice at M = -T^b (c = 0, a = -1)
+        if (-c < a < c) if c > 0 else (c < a < -c) if c else a < 0:
             gi = inverses[g]
             acc += (tab[(g * n + h) * n + gi] - tab[(g * n + gi) * n + h]
                     - tab[(h * n + g) * n + gi])
             g, h, a, b, c, d = h, gi, c, d, -a, -b
             continue
-        # -I at M = -T^b (c = 0, a = -1), leaving T^b
-        if not c and a < 0:
-            gi, hi = inverses[g], inverses[h]
-            acc += (tab[(g * n + h) * n + gi] - tab[(g * n + gi) * n + h]
-                    - tab[(h * n + g) * n + gi] + tab[(h * n + gi) * n + hi]
-                    - tab[(h * n + hi) * n + gi] - tab[(gi * n + h) * n + hi])
-            g, h, b = gi, hi, -b
         q = (a + a + c) // (c + c) if c else b
         row, col, k = table[g], g * n * n + g, orders[g]
-        m = q if q > 0 else -q
-        x = h
-        if q < 0:
-            for _ in range(q % k):
-                x = row[x]
-            h = x
+        r, s = q // k, q % k
         t = 0
-        for _ in range(m % k):
-            t += tab[col + x * n]
-            x = row[x]
-        if q > 0:
-            h = x
-        if m >= k:
-            cycle = t
-            for _ in range(k - m % k):
+        for _ in range(s):
+            t += tab[col + h * n]
+            h = row[h]
+        if r:
+            cycle, x = t, h
+            for _ in range(k - s):
                 cycle += tab[col + x * n]
                 x = row[x]
-            t += m // k * cycle
-        acc += t if q > 0 else -t
+            t += r * cycle
+        acc += t
         if not c:
             return QZ(acc, L)
         a, b = a - q * c, b - q * d
+    raise KleinformError("internal error: the Euclid walk on %r did not end" % (matrix,))
 
 
 def dehn_character(group, element, alpha):
@@ -359,15 +345,6 @@ def klein_character(n, level, matrix):
     return QZ(level * matrix.b, n * n)
 
 
-def _holonomy_scaled(group, tab, g, h, z):
-    """holonomy_cocycle_R at (g, h) and z, as an integer over alpha's L."""
-    n = group.order
-    cg, ch = group.conj(z, g), group.conj(z, h)
-    return (tab[(z * n + g) * n + h] - tab[(z * n + h) * n + g]
-            + tab[(cg * n + ch) * n + z] - tab[(ch * n + cg) * n + z]
-            - tab[(cg * n + z) * n + h] + tab[(ch * n + z) * n + g])
-
-
 def holonomy_cocycle_R(rep, alpha, z):
     """Holonomy of conjugation by z at the rep (g, h), read off alpha.
 
@@ -394,7 +371,12 @@ def holonomy_cocycle_R(rep, alpha, z):
     z = exact_int(z, "conjugating element")
     if not (0 <= z < rep.group.order):
         raise KleinformError("conjugating element outside the group")
-    return QZ(_holonomy_scaled(rep.group, alpha.ints, rep.g, rep.h, z), alpha.L)
+    grp, tab, g, h = rep.group, alpha.ints, rep.g, rep.h
+    n = grp.order
+    cg, ch = grp.conj(z, g), grp.conj(z, h)
+    return QZ(tab[(z * n + g) * n + h] - tab[(z * n + h) * n + g]
+              + tab[(cg * n + ch) * n + z] - tab[(ch * n + cg) * n + z]
+              - tab[(cg * n + z) * n + h] + tab[(ch * n + z) * n + g], alpha.L)
 
 
 def sections_dimension(group, alpha):

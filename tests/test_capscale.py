@@ -4,7 +4,7 @@ Each child runs `python -m kleinform` under its own RLIMIT_AS and timeout,
 and must either answer or exit 1 with an `error:` line.  The inputs sit at
 or just past a cap: order-48 group files (groups.MAX_ORDER) and one of
 order 49, a full degree-3 table on cyclic:48 over a 37-bit common
-denominator (close to groups.MAX_TABLE_BITS), matrix entries near 10**30,
+denominator (close to cochains.MAX_TABLE_BITS), matrix entries near 10**30,
 and `enumerate` one genus past its cap.  The cap itself, `enumerate
 --group cyclic:2 --genus 11`, writes 4,194,304 rows in about 20 s and is
 left out.  Answers are checked against closed forms computed here.

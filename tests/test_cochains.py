@@ -6,6 +6,7 @@ import tracemalloc
 import pytest
 
 from kleinform.cochains import (
+    MAX_TABLE_BITS,
     Cochain,
     alpha_cyclic,
     coboundary_solve,
@@ -18,9 +19,8 @@ from kleinform.cochains import (
     validate_cochain,
 )
 from kleinform.errors import KleinformError, ValidationError
-from kleinform.groups import (MAX_TABLE_BITS, GroupHom, all_homs, alternating4, cyclic,
-                              dicyclic, dihedral, direct_product, generating_set, klein4,
-                              symmetric3)
+from kleinform.groups import (GroupHom, all_homs, alternating4, cyclic, dicyclic, dihedral,
+                              direct_product, generating_set, klein4, symmetric3)
 from kleinform.moduli import SL2Z, TorusRep, r_diff
 from kleinform.qz import QZ
 
@@ -518,6 +518,24 @@ def test_every_constructor_checks_the_degree_first(degree, message):
         with pytest.raises(ValidationError, match=message):
             build()
     assert calls == []
+
+
+def test_every_constructor_caps_the_table_size():
+    # the parser's cap of MAX_ORDER**3 entries, met before a value is read or
+    # fn is called: degree 4 on cyclic(48) is 5,308,416 entries, degree 3 the cap
+    z48, calls = cyclic(48), []
+    builds = (
+        lambda: Cochain(z48, 4, (calls.append(i) or QZ(0) for i in range(48**4))),
+        lambda: Cochain.zero(z48, 4),
+        lambda: Cochain.from_function(z48, 4, lambda *args: calls.append(args) or QZ(0)),
+    )
+    for build in builds:
+        with pytest.raises(KleinformError,
+                           match="cochain table of 5308416 entries exceeds the cap 110592"):
+            build()
+    assert calls == []
+    at_cap = Cochain.zero(z48, 3)
+    assert (at_cap.L, len(at_cap.ints)) == (1, 48**3)
 
 
 def test_cochains_are_kept_over_their_least_L():

@@ -125,6 +125,22 @@ def test_lift_input_validation():
         lift_gamma(rep, not_closed)
 
 
+def test_one_window_check_for_lift_gamma_and_gamma_lift(monkeypatch):
+    # a window below 1 is refused with one message: by lift_gamma before the
+    # solve runs, and by a GammaLift built directly
+    rep = TorusRep(klein4(), 1, 2)
+    alpha = Cochain.zero(klein4(), 3)
+    solves = []
+    monkeypatch.setattr(lifts, "_solve_window", lambda *args: solves.append(args))
+    for window in (0, -1, -10**30):
+        with pytest.raises(KleinformError, match="^lift window must be at least 1$"):
+            lift_gamma(rep, alpha, window=window)
+    assert solves == []
+    for window in (0, -1):
+        with pytest.raises(KleinformError, match="^lift window must be at least 1$"):
+            GammaLift(rep, alpha, window, "window", lambda a, b: QZ(0), _certified=True)
+
+
 def test_lift_gamma_refuses_a_float_window():
     rep = TorusRep(klein4(), 1, 2)
     alpha = Cochain.zero(klein4(), 3)

@@ -255,6 +255,39 @@ def test_r_diff_composition_law():
             assert holonomy_cocycle_R(rep, alpha_cyclic(2, 1), z) == 0
 
 
+def test_r_diff_splits_t_powers():
+    # r(rho, T^(q1+q2)) = r(rho, T^q1) + r(rho.T^q1, T^q2) for q1, q2 within
+    # 2k + 1 of 0, k = ord(g), on every commuting pair (the identity g, with
+    # k = 1, among them): both signs of q, every remainder mod k and whole
+    # periods meet in one T block.  And -T^b splits into its letters S, S, T^b
+    path = os.path.join(os.path.dirname(__file__), "data", "s3_cubetwist.cochain")
+    d4 = dihedral(4)
+    hom = next(hom for hom in all_homs(d4, cyclic(2)) if any(hom.images))
+    levels = [load_cochain_file(path), _cup_alpha_v8()[1],
+              pullback_cochain(alpha_cyclic(2, 1), hom)]
+    s, t = SL2Z.S(), SL2Z.T()
+    for alpha in levels:
+        grp, nonzero = alpha.group, 0
+        for g, h in enumerate_bundles(grp, 1):
+            rep, k = TorusRep(grp, g, h), grp.order_of(g)
+            span = range(-2 * k - 1, 2 * k + 2)
+            powers = {q: t**q for q in range(-4 * k - 2, 4 * k + 3)}
+            for q1 in span:
+                first, moved = r_diff(rep, alpha, powers[q1]), sl2z_act(rep, powers[q1])
+                nonzero += bool(first)
+                for q2 in span:
+                    assert (r_diff(rep, alpha, powers[q1 + q2])
+                            == first + r_diff(moved, alpha, powers[q2])), (rep, q1, q2)
+            s_moved = sl2z_act(rep, s)
+            letters = r_diff(rep, alpha, s) + r_diff(s_moved, alpha, s)
+            for b in span:
+                minus = SL2Z(-1, -b, 0, -1)
+                assert minus == s @ s @ powers[b]
+                assert r_diff(rep, alpha, minus) == letters + r_diff(
+                    sl2z_act(s_moved, s), alpha, powers[b]), (rep, b)
+        assert nonzero > 0
+
+
 def test_st_route_matches_direct_lift():
     # a cocycle not pulled back from a cyclic group, on a non-cyclic rep
     v8, cup = _cup_alpha_v8()
