@@ -50,9 +50,7 @@ class Cochain:
                  "_normalized")
 
     def __init__(self, group, degree, values):
-        if not isinstance(group, FiniteGroup):
-            raise ValidationError("cochain needs a FiniteGroup")
-        degree = _check_shape(group, _check_degree(degree))
+        degree = _check_shape(group, degree)
         qz, L, nonzero = [], 1, 0
         for v in values:
             v = v if isinstance(v, QZ) else QZ(v)
@@ -85,12 +83,12 @@ class Cochain:
 
     @classmethod
     def zero(cls, group, degree):
-        degree = _check_shape(group, _check_degree(degree))
+        degree = _check_shape(group, degree)
         return cls._from_ints(group, degree, 1, (0,) * group.order**degree)
 
     @classmethod
     def from_function(cls, group, degree, fn):
-        degree = _check_shape(group, _check_degree(degree))
+        degree = _check_shape(group, degree)
         return cls(group, degree, [fn(*args) for args in product(group.elements, repeat=degree)])
 
     @property
@@ -142,10 +140,14 @@ def _check_degree(degree):
 
 
 def _check_shape(group, degree):
-    """degree, for a table of at most the parser's MAX_ORDER**3 entries.
+    """degree as _check_degree returns it, for a FiniteGroup and at most MAX_ORDER**3 entries.
 
-    Every constructor but _from_ints checks it before it reads a value or calls fn.
+    Every constructor but _from_ints checks it, the group first, before it
+    reads a value or calls fn.
     """
+    if not isinstance(group, FiniteGroup):
+        raise ValidationError("cochain needs a FiniteGroup")
+    degree = _check_degree(degree)
     if group.order**degree > MAX_ORDER**3:
         raise KleinformError("cochain table of %d entries exceeds the cap %d"
                              % (group.order**degree, MAX_ORDER**3))
@@ -267,6 +269,11 @@ def is_normalized(c):
             for start in range(0, n**k, run * n)
         )
     return c._normalized
+
+
+def is_closed_normalized(c):
+    """is_closed(c) and is_normalized(c): two attribute reads once both are kept on c."""
+    return (c._closed and c._normalized) or (is_closed(c) and is_normalized(c))
 
 
 def validate_cochain(c):

@@ -21,7 +21,7 @@ reverse) as the reference.
 
 from itertools import product
 
-from .cochains import Cochain, is_closed, is_normalized
+from .cochains import Cochain, is_closed_normalized
 from .errors import KleinformError, ValidationError, exact_int, exact_ints
 from .qz import QZ
 
@@ -230,9 +230,9 @@ def sl2z_act(rep, matrix):
 def _check_alpha_for(group, alpha):
     if not isinstance(alpha, Cochain) or alpha.degree != 3:
         raise KleinformError("expected a degree-3 cochain")
-    if alpha.group != group:
+    if alpha.group is not group and alpha.group != group:
         raise KleinformError("cochain lives on a different group")
-    if not is_closed(alpha) or not is_normalized(alpha):
+    if not is_closed_normalized(alpha):
         raise KleinformError("expected a closed normalized 3-cochain")
 
 

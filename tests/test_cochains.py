@@ -12,6 +12,7 @@ from kleinform.cochains import (
     coboundary_solve,
     differential,
     is_closed,
+    is_closed_normalized,
     is_normalized,
     load_cochain_file,
     parse_cochain_text,
@@ -181,6 +182,24 @@ def test_is_normalized():
     assert not is_normalized(c)
     assert is_normalized(Cochain.zero(z2, 2))
     assert is_normalized(Cochain(z2, 0, [QZ(1, 3)]))
+
+
+def test_is_closed_normalized_agrees_before_and_after_the_flags_are_kept():
+    z5 = cyclic(5)
+    builds = [
+        (lambda: alpha_cyclic(5, 2), True),
+        # closed, not normalized: d of beta(a, b) = a/5
+        (lambda: differential(Cochain(z5, 2, [QZ(a, 5) for a in range(5) for b in range(5)])),
+         False),
+        # normalized, not closed
+        (lambda: Cochain(z5, 3, [QZ(1, 5) if i == 31 else 0 for i in range(125)]), False),
+    ]
+    for build, want in builds:
+        fresh, kept = build(), build()
+        is_closed(kept), is_normalized(kept)
+        assert is_closed_normalized(fresh) is want
+        assert is_closed_normalized(kept) is want
+        assert is_closed_normalized(fresh) is want
 
 
 def test_pullback():
@@ -517,6 +536,23 @@ def test_every_constructor_checks_the_degree_first(degree, message):
     for build in builds:
         with pytest.raises(ValidationError, match=message):
             build()
+    assert calls == []
+
+
+@pytest.mark.parametrize("group", ["x", None, 5])
+def test_every_constructor_checks_the_group_first(group):
+    # before the degree, before any value is read and before fn is called
+    calls = []
+    builds = (
+        lambda degree: Cochain(group, degree, (calls.append(i) or QZ(0) for i in range(2))),
+        lambda degree: Cochain.zero(group, degree),
+        lambda degree: Cochain.from_function(group, degree,
+                                             lambda *args: calls.append(args) or QZ(0)),
+    )
+    for build in builds:
+        for degree in (1, 3, 5):
+            with pytest.raises(ValidationError, match="cochain needs a FiniteGroup"):
+                build(degree)
     assert calls == []
 
 

@@ -8,6 +8,8 @@ from kleinform.cochains import (
     Cochain,
     alpha_cyclic,
     differential,
+    is_closed,
+    is_normalized,
     load_cochain_file,
     pullback_cochain,
 )
@@ -99,6 +101,10 @@ def test_sl2z_refuses_float_entries():
      "cochain degree must be an integer, not 1.0"),
     (lambda: klein_character(0.5, 1, SL2Z.identity()), "Gamma1 level must be an integer, not 0.5"),
     (lambda: klein_character(2, 1.0, SL2Z.identity()), "level must be an integer, not 1.0"),
+    (lambda: TorusRep(cyclic(3), 1.9, 0.5), "rep image must be an integer, not 1.9"),
+    (lambda: TorusRep(cyclic(3), 1, 0.0), "rep image must be an integer, not 0.0"),
+    (lambda: SL2Z(1.7, 0, 0, 1.2), "matrix entry must be an integer, not 1.7"),
+    (lambda: SL2Z(1, 0, 0, 1.0), "matrix entry must be an integer, not 1.0"),
 ])
 def test_constructors_refuse_floats(build, message):
     # a float below 1 is refused as a float, not as an order or level below 1
@@ -286,6 +292,63 @@ def test_r_diff_splits_t_powers():
                 assert r_diff(rep, alpha, minus) == letters + r_diff(
                     sl2z_act(s_moved, s), alpha, powers[b]), (rep, b)
         assert nonzero > 0
+
+
+class _CountedTable(tuple):
+    """A cochain's integer table that counts the entries read from it."""
+
+    def __getitem__(self, i):
+        self.reads += 1
+        return tuple.__getitem__(self, i)
+
+
+def test_r_diff_t_block_reads_at_most_k_letters():
+    # a T^q block reads at most k = ord(g) letters of alpha: the q letters
+    # from h for 0 <= q < k, and one whole cycle for every other q
+    d4 = dihedral(4)
+    hom = next(hom for hom in all_homs(d4, cyclic(2)) if any(hom.images))
+    for base, k in ((alpha_cyclic(12, 5), 12), (pullback_cochain(alpha_cyclic(2, 1), hom), 4)):
+        grp = base.group
+        g = next(x for x in grp.elements if grp.order_of(x) == k)
+        alpha = Cochain._from_ints(grp, 3, base.L, base.ints)
+        assert is_closed(alpha) and is_normalized(alpha)
+        # _from_ints keeps a plain tuple, so the counted one goes in once the flags are kept
+        alpha.ints = tab = _CountedTable(alpha.ints)
+        for h in (h for h in grp.elements if grp.mul(g, h) == grp.mul(h, g)):
+            rep = TorusRep(grp, g, h)
+            for q in range(-2 * k, 2 * k + 1):
+                tab.reads = 0
+                value = r_diff(rep, alpha, SL2Z(1, q, 0, 1))
+                assert tab.reads == (q if 0 <= q < k else k), (rep, q)
+                assert value == r_diff(rep, base, SL2Z(1, q, 0, 1))
+
+
+def test_r_diff_checks_alpha_on_every_call():
+    # a good alpha on an equal group object is accepted, and a bad one is
+    # refused with its own message on the first call and again after a
+    # good call, its flags kept or not
+    z5, s = cyclic(5), SL2Z.S()
+    alpha, rep = alpha_cyclic(5, 2), TorusRep(z5, 1, 2)
+    assert alpha.group is not z5 and alpha.group == z5
+    good = r_diff(rep, alpha, s)
+    assert good == r_diff(TorusRep(alpha.group, 1, 2), alpha, s)
+    # a closed 3-cochain that is not normalized: d of beta(a, b) = a/5
+    unnormalized = differential(Cochain(z5, 2, [QZ(a, 5) for a in range(5) for b in range(5)]))
+    unclosed = Cochain(z5, 3, [QZ(1, 5) if i == 31 else 0 for i in range(125)])
+    degree_two, elsewhere = Cochain.zero(z5, 2), alpha_cyclic(4, 1)
+    for kept in (degree_two, elsewhere):
+        assert is_closed(kept) and is_normalized(kept)
+    assert is_closed(unnormalized) and not is_normalized(unnormalized)
+    assert not is_closed(unclosed) and is_normalized(unclosed)
+    bad = [(None, "expected a degree-3 cochain"), (degree_two, "expected a degree-3 cochain"),
+           (elsewhere, "cochain lives on a different group"),
+           (unnormalized, "expected a closed normalized 3-cochain"),
+           (unclosed, "expected a closed normalized 3-cochain")]
+    for wrong, message in bad:
+        for _ in range(2):
+            with pytest.raises(KleinformError, match=message):
+                r_diff(rep, wrong, s)
+            assert r_diff(rep, alpha, s) == good
 
 
 def test_st_route_matches_direct_lift():
