@@ -8,8 +8,8 @@ That emptied row, a row of the reduced form of M, is returned as the
 certificate.  Elimination runs in integers only: one Euclid kernel reduces
 each pivot column, and the right-hand sides are residues mod the lcm of
 their denominators.  Back-substitution computes in QZ, and the final
-check of every row works over one common denominator.  Fraction is only
-an accepted type of right-hand side.
+check of every row works over one common denominator.  Right-hand sides
+are QZ or int (the zero residue), and the solution is a list of QZ.
 """
 
 from math import lcm
@@ -63,7 +63,7 @@ def solve_sparse(rows, ncols, rhs):
     in reverse retirement order, which Q/Z-divisibility always permits.  The
     first row emptied with a nonzero right-hand side is the no-solution
     certificate.  Coefficients and column indices must be int; b may hold
-    QZ, Fraction or int values, and anything else (a float included) raises
+    QZ or int values, and anything else (a float or a bool included) raises
     ValidationError.
     """
     import heapq
@@ -82,11 +82,8 @@ def solve_sparse(rows, ncols, rhs):
                 raise KleinformError("column index %r out of range" % (c,))
         work.append({c: v for c, v in r.items() if v})
     for v in rhs:
-        if not isinstance(v, (int, QZ)):
-            from fractions import Fraction
-            if not isinstance(v, Fraction):
-                raise ValidationError(
-                    "right-hand sides must be int, Fraction or QZ, got %r" % (v,))
+        if not isinstance(v, QZ) and type(v) is not int:
+            raise ValidationError("right-hand sides must be int or QZ, got %r" % (v,))
     L = lcm(*(v.denominator for v in rhs))
     b = [v.numerator * (L // v.denominator) % L for v in rhs]
 

@@ -7,26 +7,19 @@ residues mod 1.  Every value is kept as the reduced representative in
 ever enters.
 
 A value is stored as two ints p, q with 0 <= p < q and gcd(p, q) = 1.
-Built from two ints, it is reduced by one % and one gcd; the arithmetic
-works on these pairs, and a lone int is the zero residue.  Fraction
-appears only where a caller hands one in or asks for one: a Fraction,
-bool or str argument is read through Fraction (a QZ argument is copied,
-and refused with a denominator) and as_fraction() returns one.  The
-fractions module is imported in those branches alone, so a process that
-only works with ints and QZ values never loads it (nor decimal and
-numbers, which it pulls in).  The hash
-is Python's documented hash of the rational p/q, p times the inverse of
-q modulo sys.hash_info.modulus (or sys.hash_info.inf when the modulus
-divides q), so a value hashes as the Fraction(p, q) and int it compares
-equal to.
+QZ is a closed type.  QZ(p, q) takes two ints and reduces them by one %
+and one gcd, QZ(n) takes one int and is the zero residue, QZ() is zero
+and QZ(x) copies a QZ; any other argument (a float, a bool, a str, a
+rational of another type, or a QZ with a denominator) is refused with
+ValidationError.  Text is read by QZ.from_str and parse_residue alone.
++ and - take a QZ or an int (the zero residue, so sum() works), * takes
+an int, and every result is a QZ.  A QZ equals only a QZ with the same
+pair, and it hashes as that pair.
 """
 
 from math import gcd
-from sys import hash_info
 
 from .errors import ValidationError
-
-_HASH_MODULUS, _HASH_INF = hash_info.modulus, hash_info.inf
 
 
 def parse_residue(text):
@@ -58,7 +51,7 @@ class QZ:
                 if denominator < 0:
                     numerator, denominator = -numerator, -denominator
                 elif not denominator:
-                    raise ZeroDivisionError("Fraction(%d, 0)" % numerator)
+                    raise ZeroDivisionError("QZ(%d, 0)" % numerator)
                 p = numerator % denominator
                 g = gcd(p, denominator)
                 self._p, self._q = p // g, denominator // g
@@ -67,20 +60,14 @@ class QZ:
                 # an integer is the zero residue
                 self._p, self._q = 0, 1
                 return
-        if isinstance(numerator, QZ):
-            if denominator is not None:
-                # x/q in Q/Z has q answers, so no one of them is returned
-                raise ValidationError("QZ takes no denominator with a QZ numerator")
-            self._p, self._q = numerator._p, numerator._q
-            return
-        if isinstance(numerator, float) or isinstance(denominator, float):
-            raise ValidationError("QZ takes exact numbers, not a float")
-        from fractions import Fraction
-        if denominator is None:
-            frac = Fraction(numerator) % 1
-        else:
-            frac = Fraction(numerator, denominator) % 1
-        self._p, self._q = frac.numerator, frac.denominator
+        elif isinstance(numerator, QZ):
+            if denominator is None:
+                self._p, self._q = numerator._p, numerator._q
+                return
+            # x/q in Q/Z has q answers, so no one of them is returned
+            raise ValidationError("QZ takes no denominator with a QZ numerator")
+        bad = denominator if type(numerator) is int else numerator
+        raise ValidationError("QZ takes an int, two ints or a QZ, not %r" % (bad,))
 
     @property
     def numerator(self):
@@ -89,11 +76,6 @@ class QZ:
     @property
     def denominator(self):
         return self._q
-
-    def as_fraction(self):
-        """The canonical representative in [0, 1) as a Fraction."""
-        from fractions import Fraction
-        return Fraction(self._p, self._q)
 
     @classmethod
     def from_str(cls, text):
@@ -105,9 +87,7 @@ class QZ:
 
     def __add__(self, other):
         if not isinstance(other, (QZ, int)):
-            from fractions import Fraction
-            if not isinstance(other, Fraction):
-                return NotImplemented
+            return NotImplemented
         d = other.denominator
         return QZ(self._p * d + other.numerator * self._q, self._q * d)
 
@@ -115,9 +95,7 @@ class QZ:
 
     def __sub__(self, other):
         if not isinstance(other, (QZ, int)):
-            from fractions import Fraction
-            if not isinstance(other, Fraction):
-                return NotImplemented
+            return NotImplemented
         d = other.denominator
         return QZ(self._p * d - other.numerator * self._q, self._q * d)
 
@@ -146,18 +124,10 @@ class QZ:
     def __eq__(self, other):
         if isinstance(other, QZ):
             return self._p == other._p and self._q == other._q
-        if not isinstance(other, int):
-            from fractions import Fraction
-            if not isinstance(other, Fraction):
-                return NotImplemented
-        other %= 1
-        return self._p == other.numerator and self._q == other.denominator
+        return NotImplemented
 
     def __hash__(self):
-        # Python's hash of the rational p/q for p >= 0, as Fraction(p, q) has it
-        if self._q % _HASH_MODULUS:
-            return self._p * pow(self._q, -1, _HASH_MODULUS) % _HASH_MODULUS
-        return _HASH_INF
+        return hash((self._p, self._q))
 
     def __str__(self):
         if not self._p:

@@ -8,7 +8,6 @@ by trusting the code under test.  All equalities are exact.
 import os
 import random
 import time
-from fractions import Fraction
 from itertools import product
 from math import lcm
 
@@ -295,7 +294,7 @@ def test_lift_certificates_and_route_agreement():
         assert lhs == alpha(rep.image(*a), rep.image(*b), rep.image(*c))
 
     with pytest.raises(CertificateError):
-        GammaLift(rep, alpha, 2, "window", lambda a, b: Fraction(1, 3))
+        GammaLift(rep, alpha, 2, "window", lambda a, b: QZ(1, 3))
 
 
 def test_character_homomorphism_and_conjugation_covariance():

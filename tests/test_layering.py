@@ -11,14 +11,11 @@ fill it).
 A command in its plain form loads neither argparse nor csv: cli.py reads
 it from its command table, and imports argparse only for help and usage
 errors and csv only to write csv.  No command loads fractions (nor the
-decimal and numbers modules it pulls in) or heapq.  Only qz.py and
-intmat.py import fractions: QZ only when a caller hands it a Fraction
-(or a bool or str) or asks for one, and solve_sparse only to check a
-right-hand side that is neither int nor QZ.  The lifts, solve_sparse and
-coboundary_solve compute in QZ, so the tests' reference routes load
-fractions only when given a Fraction.  solve_sparse imports heapq inside
-the function.  No module imports fractions, heapq, argparse or csv at
-module level.
+decimal and numbers modules it pulls in) or heapq.  No module imports
+fractions at all: QZ takes only ints and QZ values, and the lifts,
+solve_sparse and coboundary_solve compute in QZ, so the tests' reference
+routes never load it.  solve_sparse imports heapq inside the function.
+No module imports heapq, argparse or csv at module level.
 Files are opened in one function only (groups.read_lines, which every
 parser reads through), and only cli.py prints or writes csv.  int() is
 called only by the text parsers; everywhere else a value that should be an
@@ -302,9 +299,12 @@ def test_help_and_abbreviations_still_go_through_argparse():
         "groupoid-check"))
 
 
-def test_only_qz_and_intmat_import_fractions():
+def test_no_module_imports_fractions():
+    for source in ("import fractions", "from fractions import Fraction",
+                   "import fractions as f", "def f():\n    from fractions import Fraction\n"):
+        assert "fractions" in _imported(source)
     importers = [name for name, source in _sources() if "fractions" in _imported(source)]
-    assert importers == ["intmat.py", "qz.py"]
+    assert importers == []
 
 
 # The lift oracle, the solver and coboundary_solve on QZ inputs, in a fresh
@@ -324,6 +324,7 @@ types = set()
 for lift in (closed, window, conjugate_lift(closed, 2), conjugate_lift(window, 1)):
     print(lift.mode, lift.evaluate((1, 0), (0, 1)), lift.evaluate((1, 1), (-1, 1)))
     types.update(type(lift._fn(a, b)).__name__ for a in pts for b in pts)
+print(" ".join(map(str, coboundary_solve(Cochain(cyclic(2), 2, [0, 0, 0, QZ(1, 2)])).values)))
 c = Cochain(cyclic(4), 2, [QZ(x * y * y, 4) for x in range(4) for y in range(4)])
 print(" ".join(map(str, coboundary_solve(differential(c)).values)))
 result = solve_sparse([{0: 2, 1: 1}, {1: 3}], 2, [QZ(1, 3), QZ(1, 2)])
@@ -341,47 +342,7 @@ def test_qz_routes_never_load_fractions():
         "window 0 0",
         "closed 0 2/3",
         "window 0 0",
+        "0 1/4",
         "0 0 0 0 0 0 1/2 1/2 0 0 0 0 0 0 1/2 1/2",
         "SolveResult(solution=[QZ(1, 12), QZ(1, 6)]) ['QZ'] False",
-    ]
-
-
-# Each Fraction path of QZ and the solver, first reached in a fresh
-# interpreter where nothing has loaded fractions yet.
-_FRACTION_PATHS = """
-import sys
-from kleinform import QZ, ValidationError
-from kleinform.cochains import Cochain, coboundary_solve, differential
-from kleinform.groups import cyclic
-print("fractions" in sys.modules, repr(QZ("1/3")), "fractions" in sys.modules)
-from fractions import Fraction
-print(repr(QZ(1, 2) + Fraction(1, 3)), repr(Fraction(1, 3) + QZ(1, 2)),
-      repr(QZ(1, 2) - Fraction(5, 6)))
-print(QZ(1, 2) == Fraction(1, 2), QZ(1, 2) == Fraction(3, 2), QZ(1, 2) == Fraction(1, 3),
-      QZ(0) == 4, QZ(1, 2) == "1/2")
-print(repr(QZ(7, 4).as_fraction()), repr(QZ(Fraction(-1, 3))), repr(QZ(True, 3)))
-try:
-    QZ(0.5)
-except ValidationError as exc:
-    print("ValidationError:", exc)
-b = coboundary_solve(Cochain(cyclic(2), 2, [0, 0, 0, QZ(1, 2)]))
-print([str(v) for v in b.values])
-c = Cochain(cyclic(4), 2, [QZ(x * y * y, 4) for x in range(4) for y in range(4)])
-b = coboundary_solve(differential(c))
-print("".join(str(v) + " " for v in b.values), differential(b) == differential(c))
-"""
-
-
-def test_fraction_paths_load_fractions_on_first_use():
-    proc = subprocess.run([sys.executable, "-c", _FRACTION_PATHS], capture_output=True,
-                          text=True, timeout=60,
-                          env=dict(os.environ, PYTHONPATH=os.path.dirname(SRC)))
-    assert proc.stdout.splitlines() == [
-        "False QZ(1, 3) True",
-        "QZ(5, 6) QZ(5, 6) QZ(2, 3)",
-        "True True False True False",
-        "Fraction(3, 4) QZ(2, 3) QZ(1, 3)",
-        "ValidationError: QZ takes exact numbers, not a float",
-        "['0', '1/4']",
-        "0 0 0 0 0 0 1/2 1/2 0 0 0 0 0 0 1/2 1/2  True",
     ]

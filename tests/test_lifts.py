@@ -324,7 +324,7 @@ def test_gamma_lift_direct_construction_certifies():
     alpha = alpha_cyclic(2, 1)
 
     def bogus(a, b):
-        return QZ(1, 3).as_fraction()
+        return QZ(1, 3)
 
     with pytest.raises(CertificateError):
         GammaLift(rep, alpha, 2, "window", bogus)

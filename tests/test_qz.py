@@ -4,7 +4,11 @@ from fractions import Fraction
 
 import pytest
 
+from kleinform.cochains import Cochain
 from kleinform.errors import ValidationError
+from kleinform.groupoid_lines import FiniteGroupoidPresentation, GroupoidCocycle
+from kleinform.groups import cyclic
+from kleinform.intmat import solve_sparse
 from kleinform.qz import QZ
 
 
@@ -15,19 +19,15 @@ def test_canonical_representative():
     assert str(QZ(-1, 3)) == "2/3"
     assert str(QZ(7)) == "0"
     assert str(QZ(0, 5)) == "0"
-    assert str(QZ(Fraction(9, 6))) == "1/2"
+    assert str(QZ(9, 6)) == "1/2"
     assert QZ(QZ(2, 3)) == QZ(2, 3)
     assert QZ(5, -3) == QZ(1, 3) and QZ(-5, -3) == QZ(2, 3)
-    # bool, str and Fraction arguments are read through Fraction
-    assert QZ(True) == QZ(0) and QZ(True, 2) == QZ(1, 2) and QZ(1, True) == QZ(0)
-    assert QZ("3/4") == QZ(3, 4) and QZ(" -1/6 ") == QZ(5, 6)
-    assert QZ(Fraction(7, 3), 2) == QZ(7, 6)
 
 
 def test_reduced_parts():
     x = QZ(4, 6)
     assert (x.numerator, x.denominator) == (2, 3)
-    assert QZ(5).as_fraction() == Fraction(0)
+    assert (QZ(5).numerator, QZ(5).denominator) == (0, 1)
     assert repr(QZ(-1, 4)) == "QZ(3, 4)"
 
 
@@ -46,12 +46,17 @@ def test_arithmetic():
     assert QZ(1, 2) + QZ(2, 3) == QZ(1, 6)
     assert QZ(1, 2) + 1 == QZ(1, 2)
     assert 1 + QZ(1, 2) == QZ(1, 2)
-    assert QZ(1, 2) + Fraction(1, 3) == QZ(5, 6)
+    assert sum([QZ(1, 2), QZ(1, 3)]) == QZ(5, 6)
+    assert QZ(1, 2) - 3 == QZ(1, 2)
     assert QZ(1, 3) - QZ(1, 2) == QZ(5, 6)
     assert -QZ(1, 3) == QZ(2, 3)
     assert 5 * QZ(1, 3) == QZ(2, 3)
     assert QZ(1, 3) * (-1) == QZ(2, 3)
     assert QZ(1, 6) * 6 == QZ(0)
+    for other in (Fraction(1, 3), 0.5, "1/3"):
+        for op in (lambda x, y: x + y, lambda x, y: y + x, lambda x, y: x - y):
+            with pytest.raises(TypeError):
+                op(QZ(1, 2), other)
 
 
 def test_int_multiplication_only():
@@ -62,19 +67,45 @@ def test_int_multiplication_only():
 
 
 def test_floats_rejected():
-    # a QZ over a denominator is refused too: division in Q/Z has q answers
-    for args, message in (((0.1,), "float"), ((0.5, 2), "float"), ((1, 2.0), "float"),
-                          ((float("nan"),), "float"),
-                          ((QZ(1, 2), 3), "no denominator with a QZ numerator")):
+    # QZ takes ints or a QZ: a float, bool, str or Fraction is refused in
+    # either place (text goes through from_str), and so is a QZ over a
+    # denominator, since division in Q/Z has q answers
+    for args, bad in (((0.5,), "0.5"), ((0.1,), "0.1"), ((0.5, 2), "0.5"), ((1, 2.0), "2.0"),
+                      ((float("nan"),), "nan"), ((True,), "True"), ((False,), "False"),
+                      ((True, 2), "True"), ((1, True), "True"), (("1/2",), "'1/2'"),
+                      (("3",), "'3'"), ((1, "2"), "'2'"), ((Fraction(1, 2),), r"Fraction\(1, 2\)"),
+                      ((Fraction(7, 3), 2), r"Fraction\(7, 3\)"),
+                      ((1, Fraction(2)), r"Fraction\(2, 1\)"), ((None,), "None")):
+        message = "^QZ takes an int, two ints or a QZ, not %s$" % bad
         with pytest.raises(ValidationError, match=message):
             QZ(*args)
+    with pytest.raises(ValidationError, match="no denominator with a QZ numerator"):
+        QZ(QZ(1, 2), 3)
+
+
+def test_every_entry_refuses_what_qz_refuses():
+    # each entry that converts its values through QZ refuses a float, a
+    # Fraction, a bool and a str with ValidationError
+    z2 = cyclic(2)
+    pres = FiniteGroupoidPresentation(1, [(0, 0, "e")], {("e", "e"): "e"})
+    entries = (
+        QZ,
+        lambda v: Cochain(z2, 1, [QZ(0), v]),
+        lambda v: Cochain.from_function(z2, 1, lambda g: v if g else QZ(0)),
+        lambda v: GroupoidCocycle(pres, {"e": v}),
+        lambda v: solve_sparse([{0: 1}], 1, [v]),
+    )
+    for entry in entries:
+        for bad in (0.5, Fraction(1, 2), True, "1/2"):
+            with pytest.raises(ValidationError):
+                entry(bad)
 
 
 def test_zero_denominator_rejected():
-    with pytest.raises(ZeroDivisionError, match=r"Fraction\(1, 0\)"):
+    with pytest.raises(ZeroDivisionError, match=r"^QZ\(1, 0\)$"):
         QZ(1, 0)
-    with pytest.raises(ZeroDivisionError):
-        QZ(True, 0)
+    with pytest.raises(ZeroDivisionError, match=r"^QZ\(-3, 0\)$"):
+        QZ(-3, 0)
 
 
 def test_zero_constant():
@@ -97,10 +128,12 @@ def test_halving_then_doubling_recovers():
 
 
 def test_equality_and_hash_mod_one():
-    assert QZ(0) == 0
-    assert QZ(0) == 3
-    assert QZ(1, 2) != 0
-    assert QZ(1, 2) == Fraction(3, 2)
+    # a QZ equals only a QZ: not the int or Fraction in its class
+    assert not QZ(0) and QZ(0) == QZ(3)
+    assert QZ(0) != 3
+    assert QZ(1, 2) != QZ(0)
+    assert QZ(1, 2) == QZ(3, 2)
+    assert QZ(1, 2) != Fraction(3, 2)
     assert hash(QZ(5, 10)) == hash(QZ(1, 2))
     assert bool(QZ(1, 7))
     assert not bool(QZ(14, 7))
@@ -139,13 +172,14 @@ def _numbers(rnd):
 def _matches(x, frac):
     """x is the residue of frac: every reading of x agrees with frac % 1."""
     ref = frac % 1
+    assert type(x) is QZ
     assert (x.numerator, x.denominator) == (ref.numerator, ref.denominator)
-    assert x.as_fraction() == ref and type(x.as_fraction()) is Fraction
-    assert x == ref and x == frac and x == ref + 5
+    assert Fraction(x.numerator, x.denominator) == ref
+    assert x == QZ(ref.numerator, ref.denominator) == QZ(frac.numerator, frac.denominator)
     assert bool(x) == bool(ref)
     assert str(x) == ("0" if ref == 0 else "%d/%d" % (ref.numerator, ref.denominator))
     assert QZ.from_str(str(x)) == x
-    assert hash(x) == hash(ref)
+    assert hash(x) == hash(QZ(ref.numerator + 5 * ref.denominator, ref.denominator))
 
 
 def test_every_operation_matches_fraction():
@@ -155,21 +189,16 @@ def test_every_operation_matches_fraction():
         fx, fy = Fraction(a, b), Fraction(c, d)
         x, y = QZ(a, b), QZ(c, d)
         _matches(x, fx)
-        # a lone int is the zero residue; bool, str and Fraction still go through Fraction
+        # a lone int is the zero residue; text is read by from_str
         _matches(QZ(a), Fraction(a))
         _matches(QZ(b), Fraction(b))
         _matches(QZ(a * b * 2**64), Fraction(0))
-        _matches(QZ(a > 0), Fraction(a > 0))
-        _matches(QZ(str(a)), Fraction(a))
-        _matches(QZ(str(fx)), fx)
-        _matches(QZ(fx), fx)
+        _matches(QZ.from_str(str(a)), Fraction(a))
+        _matches(QZ.from_str(str(fx)), fx)
         _matches(QZ(x), fx)
         _matches(QZ(QZ(a, b)), fx)
         _matches(x + y, fx + fy)
         _matches(x - y, fx - fy)
-        _matches(x + fy, fx + fy)
-        _matches(fy + x, fx + fy)
-        _matches(x - fy, fx - fy)
         _matches(x + c, fx + c)
         _matches(c + x, fx + c)
         _matches(x - c, fx - c)
@@ -180,25 +209,30 @@ def test_every_operation_matches_fraction():
         ref = fx % 1
         _matches(x.halve(), Fraction(ref.numerator, 2 * ref.denominator))
         assert (x == y) == (fx % 1 == fy % 1)
-        assert (x == c) == (fx % 1 == 0)
+        assert (x == QZ(c)) == (fx % 1 == 0)
+        assert x != c and x != fx
 
 
-def test_hash_is_the_rational_hash():
-    """hash(QZ(p, q)) is Python's hash of the rational p/q: p times the
-    inverse of q modulo sys.hash_info.modulus, or sys.hash_info.inf where
-    the modulus divides q.  It agrees with hash(Fraction(p, q)), q equal
-    to the modulus and to twice it included."""
+def test_equal_values_hash_equal():
+    """Wherever two values compare equal their hashes agree, over a grid of
+    QZ values, ints and Fractions with denominators at and around
+    sys.hash_info.modulus.  A QZ equals no int and no Fraction, not even
+    one in its class."""
     modulus = sys.hash_info.modulus
-    rnd = random.Random(5)
-    dens = [1, 2, 3, modulus - 1, modulus, modulus + 1, 2 * modulus, 3 * modulus,
-            modulus * modulus, 2**61, 2**64 + 1]
-    dens += [rnd.randrange(1, bound) for bound in (10, 1000, 2**70) for _ in range(100)]
+    dens = [1, 2, 3, 6, modulus - 1, modulus, modulus + 1, 2 * modulus, modulus * modulus,
+            2**61, 2**64 + 1]
+    grid = [0, 1, -1, 5, modulus, modulus + 1]
     for q in dens:
-        for _ in range(5):
-            p = rnd.randrange(-3 * q, 3 * q)
-            x = QZ(p, q)
-            assert hash(x) == hash(Fraction(p, q) % 1) == hash(x.as_fraction())
-    for q in (modulus, 2 * modulus):
-        assert hash(QZ(1, q)) == hash(Fraction(1, q)) == sys.hash_info.inf
-    assert hash(QZ(0)) == hash(0) and hash(QZ(3, 2)) == hash(Fraction(1, 2))
-    assert len({QZ(1, 3), Fraction(1, 3), QZ(4, 3)}) == 1
+        for p in (0, 1, q - 1, q + 1, 2 * q + 1, -1, modulus):
+            grid += [QZ(p, q), Fraction(p, q)]
+    for x in grid:
+        for y in grid:
+            if x == y:
+                assert hash(x) == hash(y), (x, y)
+    assert QZ(0) != 0
+    assert QZ(1, 3) != Fraction(1, 3)
+    assert QZ(1, 3) != Fraction(4, 3)
+    assert len({QZ(0), 0}) == 2
+    assert len({QZ(1, 3), QZ(4, 3), QZ(-2, 3), Fraction(1, 3)}) == 2
+    for q in dens:
+        assert hash(QZ(1, q)) == hash(QZ(q + 1, q)) == hash((1 % q, q))

@@ -131,7 +131,7 @@ def test_solve_negative_pivot():
 
 
 def test_solve_accepts_mixed_rhs():
-    res = _dense_solve([[1, 0], [0, 2]], [Fraction(1, 3), 0])
+    res = _dense_solve([[1, 0], [0, 2]], [QZ(1, 3), 0])
     assert res.solvable
     assert res.solution == [QZ(1, 3), QZ(0)]
 
@@ -141,8 +141,8 @@ def _substitute(rows, solution):
     for row in rows:
         acc = Fraction(0)
         for c, v in enumerate(row):
-            acc += v * solution[c].as_fraction()
-        out.append(QZ(acc))
+            acc += v * Fraction(solution[c].numerator, solution[c].denominator)
+        out.append(QZ(acc.numerator, acc.denominator))
     return out
 
 
