@@ -1,6 +1,12 @@
-"""Exception types shared across the package, and the checks that refuse non-integers."""
+"""Exception types shared across the package, and the one check that refuses non-integers.
 
-from operator import index
+A value is an integer when type(value) is int.  exact_int is the gate
+every integer input goes through; QZ, Cochain.__call__, the right-hand
+sides of solve_sparse and FiniteGroupoidPresentation keep their own
+messages or exceptions and test the same condition inline.  A bool, a
+float, and any other value that int() would truncate or parse or that
+merely has __index__ is refused, never converted.
+"""
 
 
 class KleinformError(Exception):
@@ -20,25 +26,7 @@ class CertificateError(KleinformError):
 
 
 def exact_int(value, what):
-    """value as an int, or ValidationError when it is not an integer.
-
-    A float, or any other value that int() would truncate or parse, is
-    refused rather than rounded to an index, as QZ refuses floats.
-    """
-    try:
-        return index(value)
-    except TypeError:
-        raise ValidationError("%s must be an integer, not %r" % (what, value)) from None
-
-
-def exact_ints(values, what):
-    """values as a tuple of ints, refusing the first non-integer as exact_int does.
-
-    The whole sequence is converted at C speed; only on failure is it
-    read again, value by value, to name the first value refused.
-    """
-    values = tuple(values)
-    try:
-        return tuple(map(index, values))
-    except TypeError:
-        return tuple(exact_int(v, what) for v in values)
+    """value itself when type(value) is int, else ValidationError naming what."""
+    if type(value) is int:
+        return value
+    raise ValidationError("%s must be an integer, not %r" % (what, value))

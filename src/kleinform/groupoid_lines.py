@@ -19,7 +19,7 @@ class FiniteGroupoidPresentation:
     __slots__ = ("n_objects", "morphisms", "comp", "identities", "_src")
 
     def __init__(self, n_objects, morphisms, composition):
-        if not isinstance(n_objects, int) or n_objects < 0:
+        if type(n_objects) is not int or n_objects < 0:
             raise ValidationError("object count must be a non-negative integer")
         self.n_objects = n_objects
         mors = []
@@ -29,9 +29,9 @@ class FiniteGroupoidPresentation:
             if len(triple) != 3:
                 raise ValidationError("morphism %r is not a (src, dst, label) triple" % (triple,))
             s, d, label = triple
-            if not (isinstance(s, int) and 0 <= s < n_objects):
+            if not (type(s) is int and 0 <= s < n_objects):
                 raise ValidationError("morphism %r has source outside the object set" % (label,))
-            if not (isinstance(d, int) and 0 <= d < n_objects):
+            if not (type(d) is int and 0 <= d < n_objects):
                 raise ValidationError("morphism %r has target outside the object set" % (label,))
             if label in src:
                 raise ValidationError("duplicate morphism label %r" % (label,))

@@ -9,7 +9,7 @@ blindly.  Sizes stay at desk scale; nothing here tries to be clever.
 from itertools import permutations, product
 from operator import itemgetter
 
-from .errors import KleinformError, ValidationError, exact_int, exact_ints
+from .errors import KleinformError, ValidationError, exact_int
 
 # Largest order a group spec or group file may name: a degree-3 cochain
 # has order**3 entries and its closedness check reads order**3 differential
@@ -32,7 +32,8 @@ class FiniteGroup:
     __slots__ = ("order", "table", "_inv", "_orders")
 
     def __init__(self, table):
-        table = tuple(exact_ints(row, "multiplication table entry") for row in table)
+        table = tuple(tuple([exact_int(v, "multiplication table entry") for v in row])
+                      for row in table)
         n = len(table)
         if n == 0:
             raise ValidationError("empty multiplication table")
@@ -278,7 +279,7 @@ class GroupHom:
     __slots__ = ("source", "target", "images")
 
     def __init__(self, source, target, images):
-        images = exact_ints(images, "homomorphism image")
+        images = tuple([exact_int(v, "homomorphism image") for v in images])
         if len(images) != source.order:
             raise ValidationError("image list has wrong length")
         if min(images) < 0 or max(images) >= target.order:

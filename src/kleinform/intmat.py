@@ -14,7 +14,7 @@ are QZ or int (the zero residue), and the solution is a list of QZ.
 
 from math import lcm
 
-from .errors import KleinformError, ValidationError
+from .errors import KleinformError, ValidationError, exact_int
 from .qz import QZ
 
 
@@ -76,8 +76,8 @@ def solve_sparse(rows, ncols, rhs):
     work = []
     for r in rows:
         for c, v in r.items():
-            if not (isinstance(c, int) and isinstance(v, int)):
-                raise ValidationError("solver entries must be int, got %r: %r" % (c, v))
+            exact_int(c, "solver column")
+            exact_int(v, "solver coefficient")
             if not (0 <= c < ncols):
                 raise KleinformError("column index %r out of range" % (c,))
         work.append({c: v for c, v in r.items() if v})

@@ -22,7 +22,7 @@ reverse) as the reference.
 from itertools import product
 
 from .cochains import Cochain, is_closed_normalized
-from .errors import KleinformError, ValidationError, exact_int, exact_ints
+from .errors import KleinformError, ValidationError, exact_int
 from .qz import QZ
 
 ENUMERATION_CAP = 10**7
@@ -180,7 +180,7 @@ def orbit_stabilizer(group, images):
     commutator, checked here.  Returns (orbit, stabilizer): the orbit's
     image tuples sorted, the stabilizer as a sorted tuple of group elements.
     """
-    images = exact_ints(images, "image")
+    images = tuple([exact_int(v, "image") for v in images])
     if not images:
         raise ValidationError("genus must be at least 1")
     if len(images) % 2:

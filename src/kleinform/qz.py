@@ -13,7 +13,8 @@ and QZ(x) copies a QZ; any other argument (a float, a bool, a str, a
 rational of another type, or a QZ with a denominator) is refused with
 ValidationError.  Text is read by QZ.from_str and parse_residue alone.
 + and - take a QZ or an int (the zero residue, so sum() works), * takes
-an int, and every result is a QZ.  A QZ equals only a QZ with the same
+an int, and every result is a QZ; an int is a value of type int, so a
+bool is refused here as in QZ(...).  A QZ equals only a QZ with the same
 pair, and it hashes as that pair.
 """
 
@@ -86,7 +87,7 @@ class QZ:
         return cls(*parse_residue(text))
 
     def __add__(self, other):
-        if not isinstance(other, (QZ, int)):
+        if not (isinstance(other, QZ) or type(other) is int):
             return NotImplemented
         d = other.denominator
         return QZ(self._p * d + other.numerator * self._q, self._q * d)
@@ -94,7 +95,7 @@ class QZ:
     __radd__ = __add__
 
     def __sub__(self, other):
-        if not isinstance(other, (QZ, int)):
+        if not (isinstance(other, QZ) or type(other) is int):
             return NotImplemented
         d = other.denominator
         return QZ(self._p * d - other.numerator * self._q, self._q * d)
@@ -104,7 +105,7 @@ class QZ:
 
     def __mul__(self, k):
         # scale by an integer; this is the k-fold sum, so only int makes sense
-        if isinstance(k, int):
+        if type(k) is int:
             return QZ(self._p * k, self._q)
         return NotImplemented
 

@@ -86,6 +86,15 @@ def test_structure_validation_errors():
         )
 
 
+def test_bool_object_counts_and_endpoints_are_refused():
+    with pytest.raises(ValidationError, match="object count must be a non-negative integer"):
+        FiniteGroupoidPresentation(True, [(0, 0, "e")], {("e", "e"): "e"})
+    with pytest.raises(ValidationError, match="'e' has source outside the object set"):
+        FiniteGroupoidPresentation(1, [(False, 0, "e")], {("e", "e"): "e"})
+    with pytest.raises(ValidationError, match="'e' has target outside the object set"):
+        FiniteGroupoidPresentation(1, [(0, False, "e")], {("e", "e"): "e"})
+
+
 def test_missing_composition_total_mode():
     mors = [(0, 0, "e"), (0, 0, "t")]
     comp = {("e", "e"): "e", ("e", "t"): "t", ("t", "e"): "t"}

@@ -19,8 +19,10 @@ No module imports heapq, argparse or csv at module level.
 Files are opened in one function only (groups.read_lines, which every
 parser reads through), and only cli.py prints or writes csv.  int() is
 called only by the text parsers; everywhere else a value that should be an
-integer goes through errors.exact_int or exact_ints, which refuse floats
-instead of truncating them.
+integer goes through errors.exact_int, which refuses floats and bools
+instead of converting them.  No module tests for an integer with
+isinstance(..., int) or operator.index, which both take a bool: a value is
+an integer when type(value) is int.
 """
 
 import ast
@@ -209,6 +211,46 @@ def test_int_is_called_only_in_text_parsers():
     outside = [(name, owner, line) for name, source in _sources()
                for owner, line in _int_conversions(source) if (name, owner) not in _TEXT_PARSERS]
     assert outside == []
+
+
+def _int_checks(source):
+    """Lines that test for an integer by isinstance(..., int) or use operator.index."""
+    tree = ast.parse(source)
+    operator_names = {alias.asname or alias.name for node in ast.walk(tree)
+                      if isinstance(node, ast.Import) for alias in node.names
+                      if alias.name == "operator"}
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "operator":
+            if any(alias.name == "index" for alias in node.names):
+                found.append(node.lineno)
+        elif isinstance(node, ast.Attribute) and node.attr == "index":
+            if getattr(node.value, "id", None) in operator_names:
+                found.append(node.lineno)
+        elif (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance"
+              and len(node.args) == 2):
+            kinds = node.args[1]
+            kinds = kinds.elts if isinstance(kinds, ast.Tuple) else [kinds]
+            if any(getattr(kind, "id", None) == "int" for kind in kinds):
+                found.append(node.lineno)
+    return found
+
+
+def test_int_check_detector_sees_every_spelling():
+    for source in ("isinstance(x, int)", "isinstance(x, (QZ, int))",
+                   "def f(v):\n    if not isinstance(v, int):\n        pass\n",
+                   "from operator import index", "from operator import itemgetter, index as ix",
+                   "import operator\noperator.index(x)", "import operator as op\nop.index(x)"):
+        assert _int_checks(source), source
+    for source in ("type(x) is int", "type(x) is not int", "isinstance(x, QZ)",
+                   "from operator import itemgetter", "row.index(x)", "import operator",
+                   "isinstance(x, (float, str))", "exact_int(x, 'genus')"):
+        assert _int_checks(source) == [], source
+
+
+def test_no_module_tests_for_int_with_isinstance_or_index():
+    found = [(name, line) for name, source in _sources() for line in _int_checks(source)]
+    assert found == []
 
 
 # Imported only inside the functions that need them.

@@ -14,8 +14,8 @@ from kleinform.cochains import (
     pullback_cochain,
 )
 from kleinform.errors import KleinformError, ValidationError
-from kleinform.groups import (GroupHom, all_homs, cyclic, dicyclic, dihedral, direct_product,
-                              klein4, symmetric3)
+from kleinform.groups import (FiniteGroup, GroupHom, all_homs, cyclic, dicyclic, dihedral,
+                              direct_product, klein4, symmetric3)
 from kleinform.intmat import xgcd
 from kleinform.lifts import E1, E2, conjugate_lift, has_cyclic_image, lift_gamma
 from kleinform.moduli import (
@@ -105,6 +105,37 @@ def test_sl2z_refuses_float_entries():
     (lambda: TorusRep(cyclic(3), 1, 0.0), "rep image must be an integer, not 0.0"),
     (lambda: SL2Z(1.7, 0, 0, 1.2), "matrix entry must be an integer, not 1.7"),
     (lambda: SL2Z(1, 0, 0, 1.0), "matrix entry must be an integer, not 1.0"),
+    # a bool is not an int either, though Python counts it as one
+    (lambda: SL2Z.T() ** True, "exponent must be an integer, not True"),
+    (lambda: cyclic(True), "cyclic group order must be an integer, not True"),
+    (lambda: dihedral(True), "dihedral group n must be an integer, not True"),
+    (lambda: dicyclic(True), "dicyclic group n must be an integer, not True"),
+    (lambda: alpha_cyclic(True, 1), "cyclic group order must be an integer, not True"),
+    (lambda: alpha_cyclic(3, False), "level must be an integer, not False"),
+    (lambda: Cochain.zero(cyclic(3), True), "cochain degree must be an integer, not True"),
+    (lambda: Cochain(cyclic(2), True, (0, 0)), "cochain degree must be an integer, not True"),
+    (lambda: klein_character(True, 1, SL2Z.identity()),
+     "Gamma1 level must be an integer, not True"),
+    (lambda: klein_character(2, False, SL2Z.identity()), "level must be an integer, not False"),
+    (lambda: in_gamma1(SL2Z.identity(), True), "Gamma1 level must be an integer, not True"),
+    (lambda: TorusRep(cyclic(3), True, 0), "rep image must be an integer, not True"),
+    (lambda: TorusRep(cyclic(3), 1, False), "rep image must be an integer, not False"),
+    (lambda: SL2Z(True, 0, 0, 1), "matrix entry must be an integer, not True"),
+    (lambda: SL2Z(1, False, 0, 1), "matrix entry must be an integer, not False"),
+    (lambda: enumerate_bundles(cyclic(2), True), "genus must be an integer, not True"),
+    (lambda: dehn_character(cyclic(3), True, alpha_cyclic(3, 1)),
+     "element must be an integer, not True"),
+    (lambda: holonomy_cocycle_R(TorusRep(cyclic(3), 1, 0), alpha_cyclic(3, 1), True),
+     "conjugating element must be an integer, not True"),
+    (lambda: conjugate_lift(lift_gamma(TorusRep(cyclic(3), 1, 0), alpha_cyclic(3, 1)), False),
+     "conjugating element must be an integer, not False"),
+    (lambda: lift_gamma(TorusRep(cyclic(3), 1, 0), alpha_cyclic(3, 1), window=True),
+     "lift window must be an integer, not True"),
+    (lambda: lift_gamma(TorusRep(cyclic(3), 1, 0), alpha_cyclic(3, 1)).evaluate((True, 0), E2),
+     "plane point must be an integer, not True"),
+    (lambda: FiniteGroup([[False]]), "multiplication table entry must be an integer, not False"),
+    (lambda: GroupHom(cyclic(2), cyclic(2), (0, True)),
+     "homomorphism image must be an integer, not True"),
 ])
 def test_constructors_refuse_floats(build, message):
     # a float below 1 is refused as a float, not as an order or level below 1
@@ -122,7 +153,8 @@ def test_orbit_stabilizer_validation():
              ((1, 9), "image 9 outside the group"),
              ((1, 3, 0, 0), "commutator product is not the identity"),
              ((3, 4.0), "image must be an integer, not 4.0"),
-             ((1.5, 0), "image must be an integer, not 1.5"))
+             ((1.5, 0), "image must be an integer, not 1.5"),
+             ((True, 0), "image must be an integer, not True"))
     for images, message in cases:
         with pytest.raises(ValidationError, match=message):
             orbit_stabilizer(s3, images)

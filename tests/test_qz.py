@@ -53,7 +53,7 @@ def test_arithmetic():
     assert 5 * QZ(1, 3) == QZ(2, 3)
     assert QZ(1, 3) * (-1) == QZ(2, 3)
     assert QZ(1, 6) * 6 == QZ(0)
-    for other in (Fraction(1, 3), 0.5, "1/3"):
+    for other in (Fraction(1, 3), 0.5, "1/3", True, False):
         for op in (lambda x, y: x + y, lambda x, y: y + x, lambda x, y: x - y):
             with pytest.raises(TypeError):
                 op(QZ(1, 2), other)
@@ -64,6 +64,11 @@ def test_int_multiplication_only():
         QZ(1, 2) * QZ(1, 2)
     with pytest.raises(TypeError):
         QZ(1, 2) * 0.5
+    for k in (True, False):
+        with pytest.raises(TypeError):
+            QZ(1, 2) * k
+        with pytest.raises(TypeError):
+            k * QZ(1, 2)
 
 
 def test_floats_rejected():

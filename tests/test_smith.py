@@ -101,6 +101,13 @@ def test_solve_rejects_non_int_column():
         solve_sparse([{"a": 1}], 1, [QZ(0)])
 
 
+def test_solve_rejects_bool_coefficient_and_column():
+    with pytest.raises(ValidationError, match="solver coefficient must be an integer, not True"):
+        solve_sparse([{0: True}], 1, [QZ(1, 2)])
+    with pytest.raises(ValidationError, match="solver column must be an integer, not False"):
+        solve_sparse([{False: 2}], 1, [QZ(1, 2)])
+
+
 def test_solve_rejects_float_rhs():
     with pytest.raises(ValidationError):
         solve_sparse([{0: 1}], 1, [0.5])
